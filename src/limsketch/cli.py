@@ -436,7 +436,8 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--spec", help="spec name when several are loaded")
     p.add_argument("--rules", help="comma-separated rule ids (default all)")
-    p.add_argument("--max-rounds", type=int, default=32)
+    p.add_argument("--max-rounds", type=int,
+                   default=ChaseConfig.max_rounds)
     p.add_argument("--trace", help="write the trace to this path")
     p.add_argument("--out", help="directory for the saturated spec file")
     p.set_defaults(fn=cmd_saturate)

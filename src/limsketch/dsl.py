@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .engine import ChaseConfig, ChaseResult, trace_doc
 from .finset import FinFunction, FinSet
@@ -67,12 +68,15 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_#']*")
-_NUM = re.compile(r"[0-9]+")
-_PUNCT = ("=>", "->", "{", "}", "(", ")", "[", "]", ":", ";", "=", ",", ".")
+# Blanks before a token are part of its match; a search past trailing
+# blanks finds nothing and ends the scan.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>//[^\n]*)"
+    rf"|(?P<ident>{_IDENT.pattern})|(?P<num>[0-9]+)"
+    r"|(?P<punct>=>|->|[{}()\[\]:;=,.])|(?P<stray>.))")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -81,55 +85,282 @@ class _Tok:
 
 def _tokenize(text: str, issues: list[ParseIssue]) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(_Tok("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUM.match(text, i)
-        if m:
-            toks.append(_Tok("num", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            issues.append(ParseIssue(line, col, f"stray character {ch!r}"))
-            i += 1
-            col += 1
-    toks.append(_Tok("eof", "", line, col))
+            line_start = m.end()
+        elif kind != "comment":
+            tok = m[kind]
+            col = m.start(kind) - line_start + 1
+            if kind == "stray":
+                issues.append(ParseIssue(line, col,
+                                         f"stray character {tok!r}"))
+            else:
+                toks.append(_Tok(tok if kind == "punct" else kind, tok, line,
+                                 col))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# builder: the load-time checks both formats share
+# ---------------------------------------------------------------------------
+
+_TOP_KEYWORDS = ("sketch", "spec", "morphism", "config")
+
+
+class _Builder:
+    """Check loaded declaration parts and build the declarations.
+
+    The text parser and the JSON reader hand over the same raw parts, each
+    tagged with an opaque location ``at`` that ``locate`` turns into a
+    ParseIssue, so both formats accept the same declarations and word
+    every rejection alike.  Names resolve against the declarations built
+    so far, then ``env``, then the builtin sketches.  A declaration whose
+    checks report anything is not built, so later ones never see it.
+    """
+
+    def __init__(self, env: dict[str, Sketch] | None, locate):
+        self.env = dict(env or {})
+        self.locate = locate
+        self.issues: list[ParseIssue] = []
+        self.names: set[str] = set()
+        self.sketches: dict[str, Sketch] = {}
+        self.decls: list = []
+
+    def error(self, at, message: str) -> None:
+        self.issues.append(self.locate(at, message))
+
+    def spelled(self, name: str, at) -> None:
+        """Names must be identifiers so the text form can write them."""
+        if not _IDENT.fullmatch(name):
+            self.error(at, f"name {name!r} is not an identifier")
+
+    def declare(self, name: str, at) -> int:
+        """Claim a declaration name; returns the issue count before the
+        declaration's own checks."""
+        self.spelled(name, at)
+        if name in self.names:
+            self.error(at, f"duplicate declaration name {name!r}")
+        self.names.add(name)
+        return len(self.issues)
+
+    def lookup(self, name: str, at) -> Sketch | None:
+        found = self.sketches.get(name) or self.env.get(name) or \
+            builtin_sketches().get(name)
+        if found is None:
+            self.error(at, f"unknown sketch {name!r}")
+        return found
+
+    def finish(self) -> list:
+        if self.issues:
+            raise ParseError(self.issues)
+        return self.decls
+
+    def sketch(self, name: str, name_at, objects, arrows, monos, equations,
+               cones) -> None:
+        """Parts: objects ``(ob, at)``, arrows ``(id, src, tgt, at)``,
+        monos ``(id, at)``, equations ``(lhs, rhs, at)``, cones
+        ``(Cone, at)``."""
+        mark = self.declare(name, name_at)
+        obj_set: dict[str, None] = {}
+        for ob, at in objects:
+            self.spelled(ob, at)
+            if ob in obj_set:
+                self.error(at, f"duplicate object {ob!r}")
+            obj_set[ob] = None
+        arrow_map: dict[str, ArrowDecl] = {}
+        for aid, src, tgt, at in arrows:
+            self.spelled(aid, at)
+            if aid in arrow_map:
+                self.error(at, f"duplicate arrow {aid!r}")
+                continue
+            for ob in (src, tgt):
+                if ob not in obj_set:
+                    self.error(at, f"arrow {aid!r} references undeclared "
+                               f"object {ob!r}")
+            arrow_map[aid] = ArrowDecl(aid, src, tgt)
+        mono_ids: set[str] = set()
+        for mid, at in monos:
+            if mid not in arrow_map:
+                self.error(at, f"mono flag on undeclared arrow {mid!r}")
+            elif mid in mono_ids:
+                self.error(at, f"arrow {mid!r} marked mono twice")
+            else:
+                mono_ids.add(mid)
+        eq_list: list[PathEquation] = []
+        for lhs, rhs, at in equations:
+            if not lhs and not rhs:
+                self.error(at, "an equation needs at least one non-identity "
+                           "side")
+                continue
+            if not lhs:
+                lhs, rhs = rhs, lhs
+            for aid in lhs + rhs:
+                if aid not in arrow_map:
+                    self.error(at, f"equation references undeclared arrow "
+                               f"{aid!r}")
+            eq_list.append(PathEquation(lhs, rhs))
+        cone_map: dict[str, Cone] = {}
+        for cone, at in cones:
+            self.spelled(cone.name, at)
+            if cone.name in cone_map:
+                self.error(at, f"duplicate cone {cone.name!r}")
+                continue
+            if cone.apex not in obj_set:
+                self.error(at, f"cone {cone.name!r} has undeclared apex "
+                           f"{cone.apex!r}")
+            for node, ob in cone.nodes.items():
+                self.spelled(node, at)
+                if ob not in obj_set:
+                    self.error(at, f"cone node {node!r} references "
+                               f"undeclared object {ob!r}")
+            for e in cone.edges:
+                for node in (e.src, e.tgt):
+                    if node not in cone.nodes:
+                        self.error(at, f"cone edge references undeclared "
+                                   f"node {node!r}")
+                if not e.path:
+                    self.error(at, "identity edges are implicit; use a "
+                               "named path")
+                for aid in e.path:
+                    if aid not in arrow_map:
+                        self.error(at, f"cone edge references undeclared "
+                                   f"arrow {aid!r}")
+            for node, aid in cone.projections.items():
+                if node not in cone.nodes:
+                    self.error(at, f"projection of undeclared node "
+                               f"{node!r}")
+                if aid not in arrow_map:
+                    self.error(at, f"projection references undeclared "
+                               f"arrow {aid!r}")
+            cone_map[cone.name] = cone
+        if len(self.issues) > mark:
+            return
+        # Projection triangles are implicit in the text format; synthesize
+        # the equations the core invariant asks for.
+        for cone in cone_map.values():
+            for e in cone.edges:
+                ps = cone.projections.get(e.src)
+                pt = cone.projections.get(e.tgt)
+                if ps is None or pt is None:
+                    continue
+                lhs, rhs = (ps,) + e.path, (pt,)
+                if not any({q.lhs, q.rhs} == {lhs, rhs} for q in eq_list):
+                    eq_list.append(PathEquation(lhs, rhs))
+        sk = Sketch(name=name, objects=tuple(obj_set), arrows=arrow_map,
+                    equations=tuple(eq_list), cones=cone_map,
+                    monos=frozenset(mono_ids))
+        self.sketches[name] = sk
+        self.decls.append(sk)
+
+    def spec(self, name: str, at, over: str, over_at, elems, acts) -> None:
+        """Parts: elements ``(el, ob, at)``, actions ``(arrow, x, y, at)``."""
+        mark = self.declare(name, at)
+        sk = self.lookup(over, over_at)
+        if sk is None:
+            return
+        carriers: dict[str, list[str]] = {ob: [] for ob in sk.objects}
+        where: dict[str, str] = {}
+        for el, ob, el_at in elems:
+            self.spelled(el, el_at)
+            if ob not in carriers:
+                self.error(el_at, f"element {el!r} has undeclared object "
+                           f"{ob!r}")
+                continue
+            if el in where:
+                self.error(el_at, f"duplicate element {el!r}")
+                continue
+            where[el] = ob
+            carriers[ob].append(el)
+        actions: dict[str, dict[str, str]] = {a: {} for a in sk.arrows}
+        for aid, x, y, act_at in acts:
+            decl = sk.arrows.get(aid)
+            if decl is None:
+                self.error(act_at, f"action on undeclared arrow {aid!r}")
+                continue
+            if where.get(x) != decl.src:
+                self.error(act_at, f"action argument {x!r} is not an "
+                           f"element of {decl.src}")
+                continue
+            if where.get(y) != decl.tgt:
+                self.error(act_at, f"action value {y!r} is not an element "
+                           f"of {decl.tgt}")
+                continue
+            if x in actions[aid] and actions[aid][x] != y:
+                self.error(act_at, f"conflicting actions for {aid}({x})")
+                continue
+            actions[aid][x] = y
+        for aid, decl in sk.arrows.items():
+            for x in carriers[decl.src]:
+                if x not in actions[aid]:
+                    self.error(at, f"spec {name!r} is missing the action "
+                               f"{aid}({x})")
+        if len(self.issues) > mark:
+            return
+        cs = {ob: FinSet(tuple(xs)) for ob, xs in carriers.items()}
+        action_fns = {
+            aid: FinFunction(cs[decl.src], cs[decl.tgt], actions[aid])
+            for aid, decl in sk.arrows.items()
+        }
+        self.decls.append(NamedSpec(name, Realization(sk, cs, action_fns)))
+
+    def morphism(self, name: str, at, src_name: str, src_at,
+                 tgt_name: str, tgt_at, objs, arrs) -> None:
+        """Parts: object images ``(a, b, at)``, arrow images
+        ``(a, path, anchor, at, path_at)`` where ``anchor`` is the object
+        an ``id(...)`` image names, else None."""
+        mark = self.declare(name, at)
+        src = self.lookup(src_name, src_at)
+        tgt = self.lookup(tgt_name, tgt_at)
+        object_map: dict[str, str] = {}
+        for a, b, ob_at in objs:
+            if src is not None and a not in src.objects:
+                self.error(ob_at, f"unknown source object {a!r}")
+            if tgt is not None and b not in tgt.objects:
+                self.error(ob_at, f"unknown target object {b!r}")
+            if a in object_map:
+                self.error(ob_at, f"object {a!r} mapped twice")
+            object_map[a] = b
+        arrow_map: dict[str, tuple[str, ...]] = {}
+        for a, path, anchor, arr_at, path_at in arrs:
+            if src is not None and a not in src.arrows:
+                self.error(arr_at, f"unknown source arrow {a!r}")
+            if anchor is not None and tgt is not None and \
+                    anchor not in tgt.objects:
+                self.error(path_at, f"unknown target object {anchor!r}")
+            for step in path:
+                if tgt is not None and step not in tgt.arrows:
+                    self.error(path_at, f"unknown target arrow {step!r}")
+            if a in arrow_map:
+                self.error(arr_at, f"arrow {a!r} mapped twice")
+            arrow_map[a] = path
+        if src is None or tgt is None or len(self.issues) > mark:
+            return
+        self.decls.append(NamedMorphism(
+            name, SketchMorphism(src, tgt, object_map, arrow_map)))
+
+    def config(self, name: str, at, max_rounds: int | None,
+               rules: tuple[str, ...] | None) -> None:
+        mark = self.declare(name, at)
+        if rules is not None:
+            if not rules:
+                self.error(at, f"config {name!r} lists no rules")
+            for rule in rules:
+                self.spelled(rule, at)
+        if len(self.issues) > mark:
+            return
+        if max_rounds is None:
+            max_rounds = ChaseConfig.max_rounds
+        self.decls.append(NamedConfig(name, ChaseConfig(
+            max_rounds=max_rounds, rule_subset=rules)))
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-_TOP_KEYWORDS = ("sketch", "spec", "morphism", "config")
 
 
 class _Recover(Exception):
@@ -137,14 +368,16 @@ class _Recover(Exception):
 
 
 class _Parser:
+    """The text syntax: tokens, error recovery and line:col positions.
+
+    Every declaration's parts go to a :class:`_Builder`, which checks them.
+    """
+
     def __init__(self, text: str, env: dict[str, Sketch] | None):
-        self.issues: list[ParseIssue] = []
-        self.toks = _tokenize(text, self.issues)
+        self.build = _Builder(
+            env, lambda tok, message: ParseIssue(tok.line, tok.col, message))
+        self.toks = _tokenize(text, self.build.issues)
         self.pos = 0
-        self.env = dict(env or {})
-        self.decls: list = []
-        self.sketches: dict[str, Sketch] = {}
-        self.names: set[str] = set()
 
     # -- token plumbing
 
@@ -157,11 +390,8 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, tok: _Tok, message: str) -> None:
-        self.issues.append(ParseIssue(tok.line, tok.col, message))
-
     def fail(self, tok: _Tok, message: str):
-        self.error(tok, message)
+        self.build.error(tok, message)
         raise _Recover
 
     def expect(self, kind: str, what: str | None = None) -> _Tok:
@@ -205,17 +435,19 @@ class _Parser:
 
     # -- top level
 
-    def parse(self) -> list:
+    def parse(self) -> None:
         while True:
             tok = self.peek()
             if tok.kind == "eof":
                 break
             if tok.kind != "ident" or tok.text not in _TOP_KEYWORDS:
-                self.error(tok, f"expected one of {', '.join(_TOP_KEYWORDS)}"
-                           f", found {tok.text!r}")
+                self.build.error(tok, "expected one of "
+                                 f"{', '.join(_TOP_KEYWORDS)}, found "
+                                 f"{tok.text!r}")
                 self.advance()
                 self.skip_to(_TOP_KEYWORDS)
                 continue
+            self.advance()
             try:
                 if tok.text == "sketch":
                     self.sketch_block()
@@ -227,85 +459,76 @@ class _Parser:
                     self.config_block()
             except _Recover:
                 self.skip_to(_TOP_KEYWORDS)
-        return self.decls
 
-    def declare(self, name: str, tok: _Tok) -> None:
-        if name in self.names:
-            self.error(tok, f"duplicate declaration name {name!r}")
-        self.names.add(name)
+    def named(self, what: str) -> tuple[str, _Tok]:
+        """An identifier and the token it came from."""
+        tok = self.peek()
+        return self.ident(what), tok
 
-    def lookup_sketch(self, name: str, tok: _Tok) -> Sketch | None:
-        found = self.sketches.get(name) or self.env.get(name) or \
-            builtin_sketches().get(name)
-        if found is None:
-            self.error(tok, f"unknown sketch {name!r}")
-        return found
-
-    # -- sketch
-
-    def sketch_block(self) -> None:
-        self.advance()
-        name_tok = self.peek()
-        name = self.ident("sketch name")
-        self.declare(name, name_tok)
-        mark = len(self.issues)
+    def entries(self, what: str, handlers: dict) -> None:
+        """Parse ``{ entry* }``.  ``handlers`` maps each entry keyword to a
+        function of the keyword's token that parses the rest of the entry;
+        after a syntax error, parsing resumes at the next keyword."""
         self.expect("{")
-        objects: list[str] = []
-        arrows: dict[str, tuple[ArrowDecl, _Tok]] = {}
-        monos: list[tuple[str, _Tok]] = []
-        equations: list[tuple[PathEquation, _Tok]] = []
-        cones: list[tuple[Cone, _Tok]] = []
-        entry_stops = ("object", "arrow", "mono", "eq", "cone", "}")
+        stops = (*handlers, "}")
         while True:
             tok = self.peek()
             if tok.kind == "}":
                 self.advance()
-                break
+                return
             if tok.kind == "eof":
-                self.fail(tok, "unterminated sketch block")
+                self.fail(tok, f"unterminated {what} block")
             try:
-                kw = self.ident("sketch entry")
-                if kw == "object":
-                    ob_tok = self.peek()
-                    ob = self.ident("object name")
-                    if ob in objects:
-                        self.error(ob_tok, f"duplicate object {ob!r}")
-                    else:
-                        objects.append(ob)
-                elif kw == "arrow":
-                    a_tok = self.peek()
-                    aid = self.ident("arrow name")
-                    self.expect(":")
-                    src = self.ident("source object")
-                    self.expect("->")
-                    tgt = self.ident("target object")
-                    if self.peek().kind == "[":
-                        self.advance()
-                        flag = self.ident("arrow flag")
-                        if flag != "mono":
-                            self.error(tok, f"unknown arrow flag {flag!r}")
-                        self.expect("]")
-                        monos.append((aid, a_tok))
-                    if aid in arrows:
-                        self.error(a_tok, f"duplicate arrow {aid!r}")
-                    else:
-                        arrows[aid] = (ArrowDecl(aid, src, tgt), a_tok)
-                elif kw == "mono":
-                    m_tok = self.peek()
-                    monos.append((self.ident("arrow name"), m_tok))
-                elif kw == "eq":
-                    equations.append(self.equation_entry(tok))
-                elif kw == "cone":
-                    cones.append(self.cone_entry(tok))
-                else:
-                    self.fail(tok, f"unknown sketch entry {kw!r}")
+                kw = self.ident(f"{what} entry")
+                if kw not in handlers:
+                    self.fail(tok, f"unknown {what} entry {kw!r}")
+                handlers[kw](tok)
             except _Recover:
-                self.skip_to(entry_stops)
-        self.finish_sketch(name, mark, objects, arrows, monos, equations,
-                           cones)
+                self.skip_to(stops)
 
-    def dotted(self) -> tuple[tuple[str, ...], str | None, _Tok]:
-        """Parse ID(.ID)* or id(OBJ); returns (arrows, anchor, first tok)."""
+    # -- sketch
+
+    def sketch_block(self) -> None:
+        name, name_tok = self.named("sketch name")
+        objects: list = []
+        arrows: list = []
+        monos: list = []
+        equations: list = []
+        cones: list = []
+
+        def arrow(tok: _Tok) -> None:
+            aid, a_tok = self.named("arrow name")
+            self.expect(":")
+            src = self.ident("source object")
+            self.expect("->")
+            tgt = self.ident("target object")
+            if self.peek().kind == "[":
+                self.advance()
+                flag = self.ident("arrow flag")
+                if flag != "mono":
+                    self.build.error(tok, f"unknown arrow flag {flag!r}")
+                self.expect("]")
+                monos.append((aid, a_tok))
+            arrows.append((aid, src, tgt, a_tok))
+
+        def equation(tok: _Tok) -> None:
+            lhs, _ = self.dotted()
+            self.expect("=")
+            rhs, _ = self.dotted()
+            equations.append((lhs, rhs, tok))
+
+        self.entries("sketch", {
+            "object": lambda tok: objects.append(self.named("object name")),
+            "arrow": arrow,
+            "mono": lambda tok: monos.append(self.named("arrow name")),
+            "eq": equation,
+            "cone": lambda tok: cones.append((self.cone(), tok)),
+        })
+        self.build.sketch(name, name_tok, objects, arrows, monos,
+                          equations, cones)
+
+    def dotted(self) -> tuple[tuple[str, ...], str | None]:
+        """Parse ID(.ID)* or id(OBJ); returns (arrows, anchor)."""
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "id" and \
                 self.toks[self.pos + 1].kind == "(":
@@ -313,39 +536,27 @@ class _Parser:
             self.expect("(")
             anchor = self.ident("object name")
             self.expect(")")
-            return (), anchor, tok
+            return (), anchor
         parts = [self.ident("arrow path")]
         while self.peek().kind == ".":
             self.advance()
             parts.append(self.ident("arrow name"))
-        return tuple(parts), None, tok
+        return tuple(parts), None
 
-    def equation_entry(self, kw_tok: _Tok) -> tuple[PathEquation, _Tok]:
-        lhs, _, _ = self.dotted()
-        self.expect("=")
-        rhs, _, _ = self.dotted()
-        if not lhs and not rhs:
-            self.fail(kw_tok, "an equation needs at least one non-identity "
-                      "side")
-        if not lhs:
-            lhs, rhs = rhs, lhs
-        return PathEquation(lhs, rhs), kw_tok
-
-    def cone_entry(self, kw_tok: _Tok) -> tuple[Cone, _Tok]:
+    def cone(self) -> Cone:
         cname = self.ident("cone name")
         self.expect(":")
         apex = self.ident("apex object")
         self.expect("{")
         try:
-            return self.cone_body(kw_tok, cname, apex)
+            return self.cone_body(cname, apex)
         except _Recover:
             # leave the cursor just past this cone's closing brace so the
             # enclosing sketch keeps its own braces balanced
             self.close_block()
             raise
 
-    def cone_body(self, kw_tok: _Tok, cname: str,
-                  apex: str) -> tuple[Cone, _Tok]:
+    def cone_body(self, cname: str, apex: str) -> Cone:
         self.expect_keyword("base")
         nodes: dict[str, str] = {}
         edges: list[ConeEdge] = []
@@ -359,18 +570,14 @@ class _Parser:
                 self.expect("->")
                 tgt = self.ident("base node")
                 self.expect(":")
-                path, anchor, ptok = self.dotted()
-                if anchor is not None:
-                    self.fail(ptok, "identity edges are implicit; use a "
-                              "named path")
+                path, _ = self.dotted()
                 edges.append(ConeEdge(src, tgt, path))
             else:
-                n_tok = self.peek()
-                node = self.ident("base node")
+                node, n_tok = self.named("base node")
                 self.expect(":")
                 ob = self.ident("object name")
                 if node in nodes:
-                    self.error(n_tok, f"duplicate base node {node!r}")
+                    self.build.error(n_tok, f"duplicate base node {node!r}")
                 else:
                     nodes[node] = ob
         self.expect(";")
@@ -382,14 +589,12 @@ class _Parser:
                 self.fail(tok, "unterminated cone block")
             node = self.ident("base node")
             self.expect("->")
-            p_tok = self.peek()
-            arrow = self.ident("projection arrow")
+            arrow, p_tok = self.named("projection arrow")
             if node in projections:
-                self.error(p_tok, f"node {node!r} projected twice")
+                self.build.error(p_tok, f"node {node!r} projected twice")
             projections[node] = arrow
         self.expect("}")
-        return Cone(cname, apex, nodes, tuple(edges),
-                    dict(projections)), kw_tok
+        return Cone(cname, apex, nodes, tuple(edges), projections)
 
     def expect_keyword(self, word: str) -> None:
         tok = self.peek()
@@ -397,262 +602,79 @@ class _Parser:
             self.fail(tok, f"expected {word!r}, found {tok.text!r}")
         self.advance()
 
-    def finish_sketch(self, name, mark, objects, arrows, monos, equations,
-                      cones) -> None:
-        arrow_map = {aid: decl for aid, (decl, _) in arrows.items()}
-        obj_set = set(objects)
-        for aid, (decl, tok) in arrows.items():
-            for ob in (decl.src, decl.tgt):
-                if ob not in obj_set:
-                    self.error(tok, f"arrow {aid!r} references undeclared "
-                               f"object {ob!r}")
-        mono_ids: list[str] = []
-        for mid, tok in monos:
-            if mid not in arrow_map:
-                self.error(tok, f"mono flag on undeclared arrow {mid!r}")
-            elif mid in mono_ids:
-                self.error(tok, f"arrow {mid!r} marked mono twice")
-            else:
-                mono_ids.append(mid)
-        for eq, tok in equations:
-            for aid in eq.lhs + eq.rhs:
-                if aid not in arrow_map:
-                    self.error(tok, f"equation references undeclared arrow "
-                               f"{aid!r}")
-        cone_map: dict[str, Cone] = {}
-        for cone, tok in cones:
-            if cone.name in cone_map:
-                self.error(tok, f"duplicate cone {cone.name!r}")
-                continue
-            if cone.apex not in obj_set:
-                self.error(tok, f"cone {cone.name!r} has undeclared apex "
-                           f"{cone.apex!r}")
-            for node, ob in cone.nodes.items():
-                if ob not in obj_set:
-                    self.error(tok, f"cone node {node!r} references "
-                               f"undeclared object {ob!r}")
-            for e in cone.edges:
-                for node in (e.src, e.tgt):
-                    if node not in cone.nodes:
-                        self.error(tok, f"cone edge references undeclared "
-                                   f"node {node!r}")
-                for aid in e.path:
-                    if aid not in arrow_map:
-                        self.error(tok, f"cone edge references undeclared "
-                                   f"arrow {aid!r}")
-            for node, aid in cone.projections.items():
-                if node not in cone.nodes:
-                    self.error(tok, f"projection of undeclared node "
-                               f"{node!r}")
-                if aid not in arrow_map:
-                    self.error(tok, f"projection references undeclared "
-                               f"arrow {aid!r}")
-            cone_map[cone.name] = cone
-        if len(self.issues) > mark:
-            # later declarations would trip over a half-built sketch
-            return
-        eq_list = [eq for eq, _ in equations]
-        # Projection triangles are implicit in the text format; synthesize
-        # the equations the core invariant asks for.
-        for cone in cone_map.values():
-            for e in cone.edges:
-                ps = cone.projections.get(e.src)
-                pt = cone.projections.get(e.tgt)
-                if ps is None or pt is None:
-                    continue
-                lhs, rhs = (ps,) + e.path, (pt,)
-                if not any({q.lhs, q.rhs} == {lhs, rhs} for q in eq_list):
-                    eq_list.append(PathEquation(lhs, rhs))
-        sk = Sketch(name=name, objects=tuple(objects), arrows=arrow_map,
-                    equations=tuple(eq_list), cones=cone_map,
-                    monos=frozenset(mono_ids))
-        self.sketches[name] = sk
-        self.decls.append(sk)
-
     # -- spec
 
     def spec_block(self) -> None:
-        self.advance()
-        name_tok = self.peek()
-        name = self.ident("spec name")
-        self.declare(name, name_tok)
-        mark = len(self.issues)
+        name, name_tok = self.named("spec name")
         self.expect_keyword("over")
-        sk_tok = self.peek()
-        sk = self.lookup_sketch(self.ident("sketch name"), sk_tok)
-        self.expect("{")
-        elems: list[tuple[str, str, _Tok]] = []
-        acts: list[tuple[str, str, str, _Tok]] = []
-        entry_stops = ("elem", "act", "}")
-        while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                self.advance()
-                break
-            if tok.kind == "eof":
-                self.fail(tok, "unterminated spec block")
-            try:
-                kw = self.ident("spec entry")
-                if kw == "elem":
-                    el = self.ident("element name")
-                    self.expect(":")
-                    ob = self.ident("object name")
-                    elems.append((el, ob, tok))
-                elif kw == "act":
-                    aid = self.ident("arrow name")
-                    self.expect("(")
-                    x = self.ident("element name")
-                    self.expect(")")
-                    self.expect("=")
-                    y = self.ident("element name")
-                    acts.append((aid, x, y, tok))
-                else:
-                    self.fail(tok, f"unknown spec entry {kw!r}")
-            except _Recover:
-                self.skip_to(entry_stops)
-        if sk is None:
-            return
-        carriers: dict[str, list[str]] = {ob: [] for ob in sk.objects}
-        where: dict[str, str] = {}
-        for el, ob, tok in elems:
-            if ob not in carriers:
-                self.error(tok, f"element {el!r} has undeclared object "
-                           f"{ob!r}")
-                continue
-            if el in where:
-                self.error(tok, f"duplicate element {el!r}")
-                continue
-            where[el] = ob
-            carriers[ob].append(el)
-        actions: dict[str, dict[str, str]] = {a: {} for a in sk.arrows}
-        for aid, x, y, tok in acts:
-            decl = sk.arrows.get(aid)
-            if decl is None:
-                self.error(tok, f"action on undeclared arrow {aid!r}")
-                continue
-            if where.get(x) != decl.src:
-                self.error(tok, f"action argument {x!r} is not an element "
-                           f"of {decl.src}")
-                continue
-            if where.get(y) != decl.tgt:
-                self.error(tok, f"action value {y!r} is not an element of "
-                           f"{decl.tgt}")
-                continue
-            if x in actions[aid] and actions[aid][x] != y:
-                self.error(tok, f"conflicting actions for {aid}({x})")
-                continue
-            actions[aid][x] = y
-        for aid, decl in sk.arrows.items():
-            for x in carriers[decl.src]:
-                if x not in actions[aid]:
-                    self.error(name_tok,
-                               f"spec {name!r} is missing the action "
-                               f"{aid}({x})")
-        if len(self.issues) > mark:
-            # a broken table would only blow up in FinFunction below
-            return
-        cs = {ob: FinSet(tuple(xs)) for ob, xs in carriers.items()}
-        action_fns = {
-            aid: FinFunction(cs[decl.src], cs[decl.tgt], actions[aid])
-            for aid, decl in sk.arrows.items()
-        }
-        self.decls.append(NamedSpec(name, Realization(sk, cs, action_fns)))
+        over, over_tok = self.named("sketch name")
+        elems: list = []
+        acts: list = []
+
+        def elem(tok: _Tok) -> None:
+            el = self.ident("element name")
+            self.expect(":")
+            elems.append((el, self.ident("object name"), tok))
+
+        def act(tok: _Tok) -> None:
+            aid = self.ident("arrow name")
+            self.expect("(")
+            x = self.ident("element name")
+            self.expect(")")
+            self.expect("=")
+            acts.append((aid, x, self.ident("element name"), tok))
+
+        self.entries("spec", {"elem": elem, "act": act})
+        self.build.spec(name, name_tok, over, over_tok, elems, acts)
 
     # -- morphism
 
     def morphism_block(self) -> None:
-        self.advance()
-        name_tok = self.peek()
-        name = self.ident("morphism name")
-        self.declare(name, name_tok)
+        name, name_tok = self.named("morphism name")
         self.expect(":")
-        src_tok = self.peek()
-        src = self.lookup_sketch(self.ident("source sketch"), src_tok)
+        src, src_tok = self.named("source sketch")
         self.expect("->")
-        tgt_tok = self.peek()
-        tgt = self.lookup_sketch(self.ident("target sketch"), tgt_tok)
-        self.expect("{")
-        object_map: dict[str, str] = {}
-        arrow_map: dict[str, tuple[str, ...]] = {}
-        entry_stops = ("obj", "arr", "}")
-        while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                self.advance()
-                break
-            if tok.kind == "eof":
-                self.fail(tok, "unterminated morphism block")
-            try:
-                kw = self.ident("morphism entry")
-                if kw == "obj":
-                    a = self.ident("object name")
-                    self.expect("=>")
-                    b = self.ident("object name")
-                    if src is not None and a not in src.objects:
-                        self.error(tok, f"unknown source object {a!r}")
-                    if tgt is not None and b not in tgt.objects:
-                        self.error(tok, f"unknown target object {b!r}")
-                    if a in object_map:
-                        self.error(tok, f"object {a!r} mapped twice")
-                    object_map[a] = b
-                elif kw == "arr":
-                    a = self.ident("arrow name")
-                    self.expect("=>")
-                    path, anchor, ptok = self.dotted()
-                    if src is not None and a not in src.arrows:
-                        self.error(tok, f"unknown source arrow {a!r}")
-                    if anchor is not None and tgt is not None and \
-                            anchor not in tgt.objects:
-                        self.error(ptok, f"unknown target object {anchor!r}")
-                    for step in path:
-                        if tgt is not None and step not in tgt.arrows:
-                            self.error(ptok, f"unknown target arrow "
-                                       f"{step!r}")
-                    if a in arrow_map:
-                        self.error(tok, f"arrow {a!r} mapped twice")
-                    arrow_map[a] = path
-                else:
-                    self.fail(tok, f"unknown morphism entry {kw!r}")
-            except _Recover:
-                self.skip_to(entry_stops)
-        if src is None or tgt is None:
-            return
-        self.decls.append(NamedMorphism(
-            name, SketchMorphism(src, tgt, object_map, arrow_map)))
+        tgt, tgt_tok = self.named("target sketch")
+        objs: list = []
+        arrs: list = []
+
+        def obj(tok: _Tok) -> None:
+            a = self.ident("object name")
+            self.expect("=>")
+            objs.append((a, self.ident("object name"), tok))
+
+        def arr(tok: _Tok) -> None:
+            a = self.ident("arrow name")
+            self.expect("=>")
+            path_tok = self.peek()
+            path, anchor = self.dotted()
+            arrs.append((a, path, anchor, tok, path_tok))
+
+        self.entries("morphism", {"obj": obj, "arr": arr})
+        self.build.morphism(name, name_tok, src, src_tok, tgt, tgt_tok,
+                            objs, arrs)
 
     # -- config
 
     def config_block(self) -> None:
-        self.advance()
-        name_tok = self.peek()
-        name = self.ident("config name")
-        self.declare(name, name_tok)
-        self.expect("{")
-        max_rounds: int | None = None
-        rules: tuple[str, ...] | None = None
-        while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                self.advance()
-                break
-            if tok.kind == "eof":
-                self.fail(tok, "unterminated config block")
-            key = self.ident("config key")
+        name, name_tok = self.named("config name")
+        settings: dict = {}
+
+        def max_rounds(tok: _Tok) -> None:
             self.expect("=")
-            if key == "max_rounds":
-                max_rounds = int(self.expect("num", "a number").text)
-            elif key == "rules":
-                ids = [self.ident("rule name")]
-                while self.peek().kind == ",":
-                    self.advance()
-                    ids.append(self.ident("rule name"))
-                rules = tuple(ids)
-            else:
-                self.fail(tok, f"unknown config key {key!r}")
-        cfg = ChaseConfig(max_rounds=max_rounds
-                          if max_rounds is not None else 32,
-                          rule_subset=rules)
-        self.decls.append(NamedConfig(name, cfg))
+            settings["max_rounds"] = int(self.expect("num", "a number").text)
+
+        def rules(tok: _Tok) -> None:
+            self.expect("=")
+            ids = [self.ident("rule name")]
+            while self.peek().kind == ",":
+                self.advance()
+                ids.append(self.ident("rule name"))
+            settings["rules"] = tuple(ids)
+
+        self.entries("config", {"max_rounds": max_rounds, "rules": rules})
+        self.build.config(name, name_tok, settings.get("max_rounds"),
+                          settings.get("rules"))
 
 
 def parse(text: str, env: dict[str, Sketch] | None = None) -> list:
@@ -662,10 +684,8 @@ def parse(text: str, env: dict[str, Sketch] | None = None) -> list:
     same text first, then ``env``, then the builtin sketches.
     """
     p = _Parser(text, env)
-    decls = p.parse()
-    if p.issues:
-        raise ParseError(p.issues)
-    return decls
+    p.parse()
+    return p.build.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +933,7 @@ def parse_json(source, env: dict[str, Sketch] | None = None) -> list:
 
     ``source`` may be JSON text or already-loaded data; a single
     declaration object or a list of them.  References resolve the same
-    way as in :func:`parse`.
+    way as in :func:`parse`, and the same checks apply.
     """
     if isinstance(source, str):
         try:
@@ -923,77 +943,53 @@ def parse_json(source, env: dict[str, Sketch] | None = None) -> list:
     else:
         data = source
     docs = data if isinstance(data, list) else [data]
-    issues: list[ParseIssue] = []
-    local: dict[str, Sketch] = {}
-    decls: list = []
-
-    def find_sketch(name: str, where: str) -> Sketch | None:
-        found = local.get(name) or (env or {}).get(name) or \
-            builtin_sketches().get(name)
-        if found is None:
-            issues.append(ParseIssue(0, 0, f"{where}: unknown sketch "
-                                     f"{name!r}"))
-        return found
-
+    build = _Builder(env, lambda idx, message: ParseIssue(
+        0, 0, f"declaration {idx}: {message}"))
     for idx, doc in enumerate(docs):
-        where = f"declaration {idx}"
         try:
-            kind = doc["kind"]
-            if kind == "sketch":
-                sk = Sketch(
-                    name=doc["name"],
-                    objects=tuple(doc["objects"]),
-                    arrows={a["id"]: ArrowDecl(a["id"], a["src"], a["tgt"])
-                            for a in doc["arrows"]},
-                    equations=tuple(
-                        PathEquation(tuple(q["lhs"]), tuple(q["rhs"]))
-                        for q in doc["equations"]),
-                    cones={c["name"]: Cone(
-                        c["name"], c["apex"], dict(c["nodes"]),
-                        tuple(ConeEdge(e["src"], e["tgt"], tuple(e["path"]))
-                              for e in c["edges"]),
-                        dict(c["projections"]))
-                        for c in doc["cones"]},
-                    monos=frozenset(doc["monos"]),
-                )
-                local[sk.name] = sk
-                decls.append(sk)
-            elif kind == "spec":
-                sk = find_sketch(doc["over"], where)
-                if sk is None:
-                    continue
-                carrier = {ob: FinSet(tuple(xs))
-                           for ob, xs in doc["carriers"].items()}
-                action = {
-                    aid: FinFunction(carrier[sk.arrows[aid].src],
-                                     carrier[sk.arrows[aid].tgt],
-                                     dict(table))
-                    for aid, table in doc["actions"].items()
-                }
-                decls.append(NamedSpec(doc["name"],
-                                       Realization(sk, carrier, action)))
-            elif kind == "morphism":
-                src = find_sketch(doc["src"], where)
-                tgt = find_sketch(doc["tgt"], where)
-                if src is None or tgt is None:
-                    continue
-                decls.append(NamedMorphism(doc["name"], SketchMorphism(
-                    src, tgt, dict(doc["objects"]),
-                    {a: tuple(p) for a, p in doc["arrows"].items()})))
-            elif kind == "config":
-                rules = doc.get("rules")
-                decls.append(NamedConfig(doc["name"], ChaseConfig(
-                    max_rounds=doc.get("max_rounds", 32),
-                    rule_subset=tuple(rules) if rules is not None else None)))
-            else:
-                issues.append(ParseIssue(0, 0, f"{where}: unknown kind "
-                                         f"{kind!r}"))
-        except (KeyError, TypeError, ValueError) as e:
-            issues.append(ParseIssue(0, 0, f"{where}: malformed document "
-                                     f"({e})"))
-    if issues:
-        raise ParseError(issues)
-    return decls
+            _read_doc(build, idx, doc)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            build.error(idx, f"malformed document ({e})")
+    return build.finish()
+
+
+def _read_doc(build: _Builder, at: int, doc) -> None:
+    """Hand the parts of one JSON document to ``build``, located at ``at``."""
+    kind = doc["kind"]
+    if kind not in _TOP_KEYWORDS:
+        build.error(at, f"unknown kind {kind!r}")
+        return
+    if kind == "sketch":
+        build.sketch(
+            doc["name"], at,
+            [(ob, at) for ob in doc["objects"]],
+            [(a["id"], a["src"], a["tgt"], at) for a in doc["arrows"]],
+            [(m, at) for m in doc["monos"]],
+            [(tuple(q["lhs"]), tuple(q["rhs"]), at)
+             for q in doc["equations"]],
+            [(Cone(c["name"], c["apex"], dict(c["nodes"]),
+                   tuple(ConeEdge(e["src"], e["tgt"], tuple(e["path"]))
+                         for e in c["edges"]),
+                   dict(c["projections"])), at)
+             for c in doc["cones"]])
+    elif kind == "spec":
+        build.spec(
+            doc["name"], at, doc["over"], at,
+            [(x, ob, at) for ob, xs in doc["carriers"].items() for x in xs],
+            [(aid, x, y, at) for aid, table in doc["actions"].items()
+             for x, y in table.items()])
+    elif kind == "morphism":
+        build.morphism(
+            doc["name"], at, doc["src"], at, doc["tgt"], at,
+            [(a, b, at) for a, b in doc["objects"].items()],
+            [(a, tuple(p), None, at, at) for a, p in doc["arrows"].items()])
+    else:
+        rounds = doc.get("max_rounds")
+        if rounds is not None and (type(rounds) is not int or rounds < 0):
+            raise ValueError(f"max_rounds {rounds!r} is not a natural number")
+        rules = doc.get("rules")
+        build.config(doc["name"], at, rounds,
+                     None if rules is None else tuple(rules))
 
 
 def parse_path(path, env: dict[str, Sketch] | None = None) -> list:

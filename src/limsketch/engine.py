@@ -44,7 +44,6 @@ class ChaseConfig:
 
     max_rounds: int = 32
     rule_subset: tuple[str, ...] | None = None
-    deterministic_order: bool = True
 
 
 @dataclass(frozen=True)
@@ -725,6 +724,25 @@ def identity_fraction(spec: Realization) -> Fraction:
     return Fraction(spec, spec, spec, i, i, "by-construction")
 
 
+def _induced_map(a: ChaseResult, b: ChaseResult,
+                 into_b) -> tuple[RealMorphism | None, bool]:
+    """Extend ``a.embedding(x) -> b.embedding(into_b(ob, x))``, for x in
+    ``a``'s input, to ``a.result -> b.result``; returns the extension (None
+    when it conflicts or is partial) and whether it is a bijection."""
+    src = a.embedding.src
+    seed: dict[str, dict[str, str]] = {}
+    for ob in src.over.objects:
+        seed[ob] = {}
+        for x in src.carrier[ob].elements:
+            lhs = a.embedding(ob, x)
+            rhs = b.embedding(ob, into_b(ob, x))
+            if seed[ob].setdefault(lhs, rhs) != rhs:
+                return None, False
+    phi = extend_morphism(a.result, b.result, seed)
+    return phi, phi is not None and all(
+        is_bijection(phi.components[ob]) for ob in src.over.objects)
+
+
 def induced_isomorphism(a: ChaseResult, b: ChaseResult) -> RealMorphism | None:
     """Map one chase result onto another over the same input, if possible.
 
@@ -733,22 +751,8 @@ def induced_isomorphism(a: ChaseResult, b: ChaseResult) -> RealMorphism | None:
     bijection, else None.  This is how large saturations are compared,
     since brute-force isomorphism search does not scale past toy carriers.
     """
-    src = a.embedding.src
-    seed: dict[str, dict[str, str]] = {}
-    for ob in src.over.objects:
-        seed[ob] = {}
-        for x in src.carrier[ob].elements:
-            lhs = a.embedding.components[ob](x)
-            rhs = b.embedding.components[ob](x)
-            if seed[ob].get(lhs, rhs) != rhs:
-                return None
-            seed[ob][lhs] = rhs
-    phi = extend_morphism(a.result, b.result, seed)
-    if phi is None:
-        return None
-    if not all(is_bijection(phi.components[ob]) for ob in src.over.objects):
-        return None
-    return phi
+    phi, bijective = _induced_map(a, b, lambda ob, x: x)
+    return phi if bijective else None
 
 
 def check_fraction(frac: Fraction, rules: list[Rule],
@@ -763,19 +767,11 @@ def check_fraction(frac: Fraction, rules: list[Rule],
     sat_mid = saturate(frac.mid, rules, cfg)
     if sat_src.status != "fixpoint" or sat_mid.status != "fixpoint":
         raise RuntimeError("fraction check inconclusive: saturation capped")
-    seed: dict[str, dict[str, str]] = {}
-    for ob in frac.src.over.objects:
-        seed[ob] = {}
-        for x in frac.src.carrier[ob].elements:
-            lhs = sat_src.embedding.components[ob](x)
-            rhs = sat_mid.embedding.components[ob](frac.h.components[ob](x))
-            seed[ob][lhs] = rhs
-    induced = extend_morphism(sat_src.result, sat_mid.result, seed)
+    induced, bijective = _induced_map(sat_src, sat_mid, frac.h)
     if induced is None:
         raise RuntimeError(
             "fraction check failed: no induced map between the saturations")
-    if not all(is_bijection(induced.components[ob])
-               for ob in frac.src.over.objects):
+    if not bijective:
         raise RuntimeError(
             "fraction check failed: the induced map is not an isomorphism")
 

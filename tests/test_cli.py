@@ -126,6 +126,17 @@ def test_saturate_capped_run(capsys):
     assert "carrier For 15131" in out
 
 
+def test_saturate_json_spec_missing_an_action_exits_two(tmp_path, capsys):
+    spec = tmp_path / "s.sk.json"
+    spec.write_text(json.dumps({
+        "kind": "spec", "name": "s", "over": "graph",
+        "carriers": {"E": ["e"], "V": ["v"]},
+        "actions": {"s": {"e": "v"}}}))
+    code, _, err = run(["saturate", str(spec)], capsys)
+    assert code == 2
+    assert "spec 's' is missing the action t(e)" in err
+
+
 def test_saturate_unknown_rule_exits_two(capsys):
     code, _, err = run(["saturate", MP, "--rules", "nope"], capsys)
     assert code == 2

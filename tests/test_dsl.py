@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -272,6 +273,98 @@ def test_json_list_resolves_earlier_sketches():
     docs.append(spec_doc)
     decls = dsl.parse_json(docs)
     assert decls[1].realization.over is decls[0]
+
+
+def sk_doc(**parts):
+    """A JSON sketch named 'a' with one object A, overridden by ``parts``."""
+    return {"kind": "sketch", "name": "a", "objects": ["A"], "arrows": [],
+            "monos": [], "cones": [], "equations": [], **parts}
+
+
+def spec_doc(**parts):
+    return {"kind": "spec", "name": "s", "over": "graph", "carriers": {},
+            "actions": {}, **parts}
+
+
+def graph_morphism_doc(**parts):
+    return {"kind": "morphism", "name": "m", "src": "graph", "tgt": "graph",
+            "objects": {}, "arrows": {}, **parts}
+
+
+F = {"id": "f", "src": "A", "tgt": "A"}
+
+# The same bad declaration in both formats, and a needle of the message.
+REJECTED_BY_BOTH = [
+    ("sketch a { object A arrow f : A -> ZZ }",
+     sk_doc(arrows=[{"id": "f", "src": "A", "tgt": "ZZ"}]),
+     "arrow 'f' references undeclared object 'ZZ'"),
+    ("sketch a { object A mono g }", sk_doc(monos=["g"]),
+     "mono flag on undeclared arrow 'g'"),
+    ("sketch a { object A object A }", sk_doc(objects=["A", "A"]),
+     "duplicate object 'A'"),
+    ("sketch a { object A arrow f : A -> A eq f = g }",
+     sk_doc(arrows=[F], equations=[{"lhs": ["f"], "rhs": ["g"]}]),
+     "equation references undeclared arrow 'g'"),
+    ("sketch a { object A eq id(A) = id(A) }",
+     sk_doc(equations=[{"lhs": [], "rhs": []}]),
+     "an equation needs at least one non-identity side"),
+    ("sketch a { object A arrow f : A -> A cone c : A {"
+     " base x : A y : A edge x -> y : id(A) ; proj } }",
+     sk_doc(arrows=[F], cones=[{
+         "name": "c", "apex": "A", "nodes": {"x": "A", "y": "A"},
+         "edges": [{"src": "x", "tgt": "y", "path": []}],
+         "projections": {}}]),
+     "identity edges are implicit"),
+    ("spec s over graph { elem e : E elem v : V act s(e) = v }",
+     spec_doc(carriers={"E": ["e"], "V": ["v"]}, actions={"s": {"e": "v"}}),
+     "spec 's' is missing the action t(e)"),
+    ("spec s over graph { elem e : W }", spec_doc(carriers={"W": ["e"]}),
+     "element 'e' has undeclared object 'W'"),
+    ("morphism m : graph -> graph { obj V => Q }",
+     graph_morphism_doc(objects={"V": "Q"}), "unknown target object 'Q'"),
+    ("morphism m : graph -> graph { arr s => zip }",
+     graph_morphism_doc(arrows={"s": ["zip"]}), "unknown target arrow 'zip'"),
+    ("sketch a { }\nsketch a { }",
+     [sk_doc(objects=[]), sk_doc(objects=[])],
+     "duplicate declaration name 'a'"),
+]
+
+
+@pytest.mark.parametrize("text, doc, needle", REJECTED_BY_BOTH)
+def test_text_and_json_reject_alike(text, doc, needle):
+    with pytest.raises(dsl.ParseError) as from_text:
+        dsl.parse(text)
+    with pytest.raises(dsl.ParseError) as from_json:
+        dsl.parse_json(doc)
+    text_messages = [i.message for i in from_text.value.issues]
+    json_messages = [re.sub(r"^declaration \d+: ", "", i.message)
+                     for i in from_json.value.issues]
+    assert any(needle in m for m in text_messages), text_messages
+    assert json_messages == text_messages
+
+
+@pytest.mark.parametrize("doc, needle", [
+    (spec_doc(carriers={"V": ["a b"]}), "name 'a b' is not an identifier"),
+    (sk_doc(objects=["A-1"]), "name 'A-1' is not an identifier"),
+    ({"kind": "config", "name": "c", "rules": []}, "lists no rules"),
+    ({"kind": "config", "name": "c", "max_rounds": -1}, "malformed"),
+])
+def test_json_rejects_what_text_cannot_write(doc, needle):
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_json(doc)
+    assert needle in str(exc.value)
+
+
+def test_json_sketches_get_projection_equations():
+    sk = dsl.parse("sketch trig { object A object B object X"
+                   " arrow f : A -> B arrow pa : X -> A arrow pb : X -> B"
+                   " cone c : X { base na : A nb : B edge na -> nb : f ;"
+                   " proj na -> pa nb -> pb } }")[0]
+    assert [(q.lhs, q.rhs) for q in sk.equations] == [(("pa", "f"),
+                                                       ("pb",))]
+    doc = json.loads(dsl.serialize_json(sk))
+    doc["equations"] = []
+    assert dsl.parse_json(doc)[0] == sk
 
 
 def test_report_serialization():

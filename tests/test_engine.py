@@ -6,6 +6,7 @@ import pytest
 
 from limsketch.engine import (
     ChaseConfig,
+    Fraction,
     apply_rule,
     check_fraction,
     compose_fractions,
@@ -21,9 +22,11 @@ from limsketch.engine import (
 from limsketch.finset import FinFunction, finset
 from limsketch.localizer import break_cycles
 from limsketch.realization import (
+    RealMorphism,
     Realization,
     check_morphism,
     check_realization,
+    identity_morphism,
     is_isomorphic,
 )
 from limsketch.sketch import builtin_sketches
@@ -286,6 +289,52 @@ def test_two_step_proof_composes():
     assert proof.src is spec and proof.tgt is step2.tgt
     assert theorem_formulas(proof.mid) == {"a", "b", "c", "iab", "ibc"}
     check_fraction(proof, [MP_RULE])
+
+
+def inclusion(src, tgt, **renames):
+    """A hand-built RealMorphism sending each element to itself or to its
+    entry in ``renames``."""
+    return RealMorphism(src, tgt, {
+        ob: FinFunction(src.carrier[ob], tgt.carrier[ob],
+                        {x: renames.get(x, x) for x in src.carrier[ob]})
+        for ob in src.over.objects})
+
+
+def test_fraction_check_is_inconclusive_when_capped():
+    with pytest.raises(RuntimeError, match="inconclusive"):
+        check_fraction(identity_fraction(mp_basic()), RULES,
+                       ChaseConfig(max_rounds=1))
+
+
+def test_fraction_check_rejects_an_underivable_theorem():
+    # only p is a theorem at the source; the middle also asserts p=>q
+    src = mk(SP, {"For": FORMS, "Theo": ("tp",),
+                  "H_IM": tuple(f"{a}_{b}" for a in FORMS for b in FORMS),
+                  "C_IM": ("c_p", "c_q", "c_ipq"),
+                  "H_IM_part_c_IM": ("w0",), "C_MP": ("d_tp",)}, {
+        "inc": {"tp": "p"},
+        "p1": {f"{a}_{b}": a for a in FORMS for b in FORMS},
+        "p2": {f"{a}_{b}": b for a in FORMS for b in FORMS},
+        "c_IM": {"w0": "c_ipq"},
+        "e_IM": {"c_p": "p", "c_q": "q", "c_ipq": "ipq"},
+        "h_c_IM": {"w0": "p_q"},
+        "e_MP": {"d_tp": "tp"},
+    })
+    assert check_realization(src).ok
+    mid = mp_basic()
+    frac = Fraction(src, mid, mid, inclusion(src, mid),
+                    identity_morphism(mid), "checked")
+    with pytest.raises(RuntimeError, match="not an isomorphism"):
+        check_fraction(frac, [MP_RULE])
+
+
+def test_fraction_check_rejects_a_leg_that_is_not_natural():
+    basic = mp_basic()
+    swap = inclusion(basic, basic, p="q", q="p")
+    frac = Fraction(basic, basic, basic, swap, identity_morphism(basic),
+                    "checked")
+    with pytest.raises(RuntimeError, match="no induced map"):
+        check_fraction(frac, [MP_RULE])
 
 
 def test_compose_rejects_mismatched_ends():
