@@ -336,6 +336,10 @@ class _Builder:
                     self.error(path_at, f"unknown target arrow {step!r}")
             if a in arrow_map:
                 self.error(arr_at, f"arrow {a!r} mapped twice")
+            elif not path and src is not None and a in src.arrows and \
+                    src.arrows[a].src not in object_map:
+                self.error(arr_at, f"identity image of arrow {a!r} needs its "
+                           f"source object {src.arrows[a].src!r} mapped")
             arrow_map[a] = path
         if src is None or tgt is None or len(self.issues) > mark:
             return
@@ -953,6 +957,13 @@ def parse_json(source, env: dict[str, Sketch] | None = None) -> list:
     return build.finish()
 
 
+def _list(x) -> list:
+    """A JSON array; a string there would otherwise read as its letters."""
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"expected a list, got {x!r}")
+    return x
+
+
 def _read_doc(build: _Builder, at: int, doc) -> None:
     """Hand the parts of one JSON document to ``build``, located at ``at``."""
     kind = doc["kind"]
@@ -962,34 +973,36 @@ def _read_doc(build: _Builder, at: int, doc) -> None:
     if kind == "sketch":
         build.sketch(
             doc["name"], at,
-            [(ob, at) for ob in doc["objects"]],
-            [(a["id"], a["src"], a["tgt"], at) for a in doc["arrows"]],
-            [(m, at) for m in doc["monos"]],
-            [(tuple(q["lhs"]), tuple(q["rhs"]), at)
-             for q in doc["equations"]],
+            [(ob, at) for ob in _list(doc["objects"])],
+            [(a["id"], a["src"], a["tgt"], at) for a in _list(doc["arrows"])],
+            [(m, at) for m in _list(doc["monos"])],
+            [(tuple(_list(q["lhs"])), tuple(_list(q["rhs"])), at)
+             for q in _list(doc["equations"])],
             [(Cone(c["name"], c["apex"], dict(c["nodes"]),
-                   tuple(ConeEdge(e["src"], e["tgt"], tuple(e["path"]))
-                         for e in c["edges"]),
+                   tuple(ConeEdge(e["src"], e["tgt"], tuple(_list(e["path"])))
+                         for e in _list(c["edges"])),
                    dict(c["projections"])), at)
-             for c in doc["cones"]])
+             for c in _list(doc["cones"])])
     elif kind == "spec":
         build.spec(
             doc["name"], at, doc["over"], at,
-            [(x, ob, at) for ob, xs in doc["carriers"].items() for x in xs],
+            [(x, ob, at) for ob, xs in doc["carriers"].items()
+             for x in _list(xs)],
             [(aid, x, y, at) for aid, table in doc["actions"].items()
              for x, y in table.items()])
     elif kind == "morphism":
         build.morphism(
             doc["name"], at, doc["src"], at, doc["tgt"], at,
             [(a, b, at) for a, b in doc["objects"].items()],
-            [(a, tuple(p), None, at, at) for a, p in doc["arrows"].items()])
+            [(a, tuple(_list(p)), None, at, at)
+             for a, p in doc["arrows"].items()])
     else:
         rounds = doc.get("max_rounds")
         if rounds is not None and (type(rounds) is not int or rounds < 0):
             raise ValueError(f"max_rounds {rounds!r} is not a natural number")
         rules = doc.get("rules")
         build.config(doc["name"], at, rounds,
-                     None if rules is None else tuple(rules))
+                     None if rules is None else tuple(_list(rules)))
 
 
 def parse_path(path, env: dict[str, Sketch] | None = None) -> list:

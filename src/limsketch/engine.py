@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finset import FinFunction, FinSet, is_bijection
+from .finset import FinFunction, FinSet, UnionFind, families, is_bijection
 from .finset import pushout as finset_pushout
 from .localizer import Localiser
 from .realization import (
@@ -122,7 +122,8 @@ class ChaseResult:
 class _Chase:
     """Mutable chase state: named elements, partial actions, a union-find.
 
-    Representatives are always the oldest element of their class, so input
+    Each object's elements live in one union-find, in creation order;
+    representatives are always the oldest element of their class, so input
     names survive identification with freshly created ones.  Action tables
     are keyed by representatives; values are resolved lazily on read.
     """
@@ -130,11 +131,8 @@ class _Chase:
     def __init__(self, sk: Sketch, carriers: dict[str, tuple[str, ...]],
                  actions: dict[str, dict[str, str]]):
         self.sk = sk
-        self.elems: dict[str, list[str]] = {ob: [] for ob in sk.objects}
-        self.index: dict[str, set[str]] = {ob: set() for ob in sk.objects}
-        self.parent: dict[str, dict[str, str]] = {ob: {} for ob in sk.objects}
-        self.birth: dict[str, dict[str, int]] = {ob: {} for ob in sk.objects}
-        self.clock = 0
+        self.uf: dict[str, UnionFind] = {ob: UnionFind() for ob in sk.objects}
+        self.created = 0
         self.fresh_counter = 0
         for ob in sk.objects:
             for x in carriers.get(ob, ()):
@@ -149,38 +147,25 @@ class _Chase:
     # -- elements ---------------------------------------------------------
 
     def _register(self, ob: str, name: str) -> None:
-        if self.clock >= _MAX_ELEMENTS:
+        if self.created >= _MAX_ELEMENTS:
             raise ChaseDiverged(
                 "chase element budget exceeded; the sketch likely has an "
                 "unbroken productive cycle")
-        self.elems[ob].append(name)
-        self.index[ob].add(name)
-        self.parent[ob][name] = name
-        self.birth[ob][name] = self.clock
-        self.clock += 1
+        self.uf[ob].add(name)
+        self.created += 1
 
     def fresh(self, ob: str) -> str:
         while True:
             name = f"{ob}#{self.fresh_counter}"
             self.fresh_counter += 1
-            if name not in self.index[ob]:
+            if name not in self.uf[ob].parent:
                 break
         self._register(ob, name)
         self.round_added[ob].append(name)
         return name
 
-    def find(self, ob: str, x: str) -> str:
-        p = self.parent[ob]
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
     def reps(self, ob: str) -> list[str]:
-        p = self.parent[ob]
-        return [x for x in self.elems[ob] if p[x] == x]
+        return self.uf[ob].roots()
 
     # -- actions ----------------------------------------------------------
 
@@ -188,8 +173,7 @@ class _Chase:
         v = self.act[aid].get(x)
         if v is None:
             return None
-        tgt = self.sk.arrows[aid].tgt
-        r = self.find(tgt, v)
+        r = self.uf[self.sk.arrows[aid].tgt].find(v)
         if r != v:
             self.act[aid][x] = r
         return r
@@ -243,12 +227,10 @@ class _Chase:
         merged = False
         while self.pending:
             ob, a, b = self.pending.pop(0)
-            ra, rb = self.find(ob, a), self.find(ob, b)
-            if ra == rb:
+            roots = self.uf[ob].union(a, b)
+            if roots is None:
                 continue
-            births = self.birth[ob]
-            keep, drop = (ra, rb) if births[ra] <= births[rb] else (rb, ra)
-            self.parent[ob][drop] = keep
+            keep, drop = roots
             self.round_identified.append((ob, keep, drop))
             merged = True
             for aid in sorted(self.sk.arrows):
@@ -381,53 +363,17 @@ class _Chase:
         return changed
 
     def _families(self, cone: Cone) -> list[dict[str, str]]:
-        """Enumerate all fully defined compatible families over the base.
-
-        Nodes determined by an edge out of an assigned node are filled by
-        evaluation; remaining nodes are enumerated, highest out-degree
-        first so that constraint propagation prunes early.
-        """
-        nodes = sorted(cone.nodes)
-        out_deg = {n: 0 for n in nodes}
-        for e in cone.edges:
-            out_deg[e.src] += 1
-        enum_order = sorted(nodes, key=lambda n: (-out_deg[n], n))
-        results: list[dict[str, str]] = []
-
-        def propagate(assign: dict[str, str]) -> dict[str, str] | None:
-            work = True
-            while work:
-                work = False
-                for e in cone.edges:
-                    if e.src not in assign:
-                        continue
-                    v = self.try_eval(e.path, assign[e.src])
-                    if v is None:
-                        return None
-                    if e.tgt in assign:
-                        if assign[e.tgt] != v:
-                            return None
-                    else:
-                        assign[e.tgt] = v
-                        work = True
-            return assign
-
-        def rec(assign: dict[str, str]) -> None:
-            assign = propagate(assign)
-            if assign is None:
-                return
-            pick = next((n for n in enum_order if n not in assign), None)
-            if pick is None:
-                if len(results) >= _MAX_ELEMENTS:
-                    raise ChaseDiverged(
-                        "cone family enumeration exceeded the chase budget")
-                results.append(assign)
-                return
-            for v in self.reps(cone.nodes[pick]):
-                rec({**assign, pick: v})
-
-        rec({})
-        return results
+        """Enumerate all fully defined compatible families over the base."""
+        out: list[dict[str, str]] = []
+        for fam in families(
+                {n: self.reps(ob) for n, ob in cone.nodes.items()},
+                [(e.src, e.tgt, lambda x, p=e.path: self.try_eval(p, x))
+                 for e in cone.edges]):
+            if len(out) >= _MAX_ELEMENTS:
+                raise ChaseDiverged(
+                    "cone family enumeration exceeded the chase budget")
+            out.append(fam)
+        return out
 
     def _create_family(self, cone: Cone, values: dict[str, str]) -> None:
         """Realise a family extending ``values`` (the projected nodes)."""
@@ -512,7 +458,7 @@ class _Chase:
                        result: Realization) -> RealMorphism:
         components = {}
         for ob in self.sk.objects:
-            mapping = {x: self.find(ob, x)
+            mapping = {x: self.uf[ob].find(x)
                        for x in before.carrier[ob].elements}
             components[ob] = FinFunction(before.carrier[ob],
                                          result.carrier[ob], mapping)
@@ -572,7 +518,7 @@ def saturate(spec: Realization, rules: list[Rule],
                        embedding)
 
 
-def rules_of(loc: Localiser, cfg: ChaseConfig | None = None) -> list[Rule]:
+def rules_of(loc: Localiser) -> list[Rule]:
     """Read the logical rules off a localiser, ordered by rule id.
 
     Each broken arrow c: H' -> C with section witness h: H' -> H yields the
@@ -587,9 +533,9 @@ def rules_of(loc: Localiser, cfg: ChaseConfig | None = None) -> list[Rule]:
         h_decl = sk.arrows[rec.h]
         c_decl = sk.arrows[rec.c]
         apex, fresh_ob, concl_ob = h_decl.tgt, h_decl.src, c_decl.tgt
-        hyp = representable(sk, apex, cfg)
-        glue = representable(sk, fresh_ob, cfg)
-        concl = representable(sk, concl_ob, cfg)
+        hyp = representable(sk, apex)
+        glue = representable(sk, fresh_ob)
+        concl = representable(sk, concl_ob)
         h_img = glue.spec.action[rec.h](glue.generator)
         c_img = glue.spec.action[rec.c](glue.generator)
         hyp_to_glue = extend_morphism(hyp.spec, glue.spec,
@@ -700,7 +646,7 @@ def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
     result = st.realization()
     components = {}
     for ob in sk.objects:
-        mapping = {x: st.find(ob, spec_inj[ob][x])
+        mapping = {x: st.uf[ob].find(spec_inj[ob][x])
                    for x in spec.carrier[ob].elements}
         components[ob] = FinFunction(spec.carrier[ob], result.carrier[ob],
                                      mapping)
@@ -800,7 +746,7 @@ def compose_fractions(f1: Fraction, f2: Fraction,
             pre: RealMorphism) -> RealMorphism:
         components = {}
         for ob in sk.objects:
-            mapping = {x: st.find(ob, inj[ob][pre.components[ob](x)])
+            mapping = {x: st.uf[ob].find(inj[ob][pre.components[ob](x)])
                        for x in pre.src.carrier[ob].elements}
             components[ob] = FinFunction(pre.src.carrier[ob],
                                          mid.carrier[ob], mapping)

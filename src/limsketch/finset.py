@@ -7,7 +7,7 @@ deterministic element orders so downstream serializations are byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -89,49 +89,53 @@ def family_name(nodes: Iterable[str], family: dict[str, str]) -> str:
     return "(" + ",".join(f"{n}={family[n]}" for n in sorted(nodes)) + ")"
 
 
-def _families(diagram: FinDiagram) -> list[dict[str, str]]:
-    names = sorted(diagram.nodes)
-    edges = [(s, t, f) for (s, t, f) in diagram.edges.values()]
-    out: list[dict[str, str]] = []
-    assign: dict[str, str] = {}
+def families(
+    nodes: dict[str, Sequence[str]],
+    edges: Sequence[tuple[str, str, Callable[[str], str | None]]],
+) -> Iterator[dict[str, str]]:
+    """Every edge-compatible family of a finite diagram, as node -> value dicts.
 
-    def consistent(node: str, val: str) -> bool:
-        for s, t, f in edges:
-            if s == t == node:
-                if f.mapping[val] != val:
+    ``nodes`` gives each node its candidate values; an edge ``(src, tgt, f)``
+    asks ``f(family[src]) == family[tgt]``, and ``f`` returning None (undefined)
+    rules the family out.  Nodes reached along an edge from an assigned node
+    are filled by evaluation; the rest are enumerated, highest out-degree
+    first so that propagation prunes early.  The order of the families is a
+    function of the candidate orders alone.
+    """
+    out_deg = {n: 0 for n in nodes}
+    for s, _, _ in edges:
+        out_deg[s] += 1
+    order = sorted(nodes, key=lambda n: (-out_deg[n], n))
+
+    def propagate(assign: dict[str, str]) -> bool:
+        work = True
+        while work:
+            work = False
+            for s, t, f in edges:
+                if s not in assign:
+                    continue
+                v = f(assign[s])
+                if v is None:
                     return False
-            elif s == node and t in assign:
-                if f.mapping[val] != assign[t]:
-                    return False
-            elif t == node and s in assign:
-                if f.mapping[assign[s]] != val:
-                    return False
+                if t in assign:
+                    if assign[t] != v:
+                        return False
+                else:
+                    assign[t] = v
+                    work = True
         return True
 
-    def search() -> None:
-        if len(assign) == len(names):
-            out.append(dict(assign))
+    def search(assign: dict[str, str]) -> Iterator[dict[str, str]]:
+        if not propagate(assign):
             return
-        # most-constrained node first keeps wide diagrams tractable
-        best: str | None = None
-        best_vals: list[str] = []
-        for n in names:
-            if n in assign:
-                continue
-            vals = [v for v in diagram.nodes[n].elements if consistent(n, v)]
-            if best is None or len(vals) < len(best_vals):
-                best, best_vals = n, vals
-                if not vals:
-                    break
-        assert best is not None
-        for v in best_vals:
-            assign[best] = v
-            search()
-            del assign[best]
+        pick = next((n for n in order if n not in assign), None)
+        if pick is None:
+            yield assign
+            return
+        for v in nodes[pick]:
+            yield from search({**assign, pick: v})
 
-    search()
-    out.sort(key=lambda fam: tuple(fam[n] for n in names))
-    return out
+    return search({})
 
 
 def limit(diagram: FinDiagram) -> tuple[FinSet, dict[str, FinFunction]]:
@@ -141,8 +145,12 @@ def limit(diagram: FinDiagram) -> tuple[FinSet, dict[str, FinFunction]]:
     "(node=value,...)" over the sorted node ids; the empty diagram yields
     the one-point set. Returns the limit set and one projection per node.
     """
-    fams = _families(diagram)
-    names = [family_name(diagram.nodes, fam) for fam in fams]
+    order = sorted(diagram.nodes)
+    fams = sorted(
+        families({n: s.elements for n, s in diagram.nodes.items()},
+                 [(s, t, f.mapping.get) for s, t, f in diagram.edges.values()]),
+        key=lambda fam: tuple(fam[n] for n in order))
+    names = [family_name(order, fam) for fam in fams]
     lim = FinSet(tuple(names))
     projections = {
         n: FinFunction(lim, diagram.nodes[n], {name: fam[n] for name, fam in zip(names, fams)})
@@ -152,13 +160,18 @@ def limit(diagram: FinDiagram) -> tuple[FinSet, dict[str, FinFunction]]:
 
 
 class UnionFind:
-    """Union-find with path halving; no rank, merges steer by caller."""
+    """Union-find with path halving; a union keeps the first-added root."""
 
     def __init__(self, items: Iterable[object] = ()) -> None:
-        self.parent: dict[object, object] = {x: x for x in items}
+        self.parent: dict[object, object] = {}
+        self.birth: dict[object, int] = {}
+        for x in items:
+            self.add(x)
 
     def add(self, x: object) -> None:
-        self.parent.setdefault(x, x)
+        if x not in self.parent:
+            self.birth[x] = len(self.birth)
+            self.parent[x] = x
 
     def find(self, x: object) -> object:
         p = self.parent
@@ -167,10 +180,20 @@ class UnionFind:
             x = p[x]
         return x
 
-    def union(self, a: object, b: object) -> None:
+    def union(self, a: object, b: object) -> tuple[object, object] | None:
+        """Merge the classes of a and b; returns (kept, dropped) roots, or
+        None when they were already one class."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return None
+        if self.birth[rb] < self.birth[ra]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return ra, rb
+
+    def roots(self) -> list[object]:
+        """One member per class, in the order the roots were added."""
+        return [x for x, p in self.parent.items() if x == p]
 
     def classes(self) -> dict[object, list[object]]:
         by_root: dict[object, list[object]] = {}

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .finset import FinDiagram, FinFunction, FinSet, compose, identity, is_bijection, limit
+from .finset import FinFunction, FinSet, compose, families, identity, is_bijection
 from .localizer import SketchMorphism, check_sketch_morphism
 from .sketch import Cone, Sketch, ValidationReport, Violation
 
@@ -30,15 +30,6 @@ class RealMorphism:
         return self.components[ob](elem)
 
 
-def empty_realization(sk: Sketch) -> Realization:
-    empty = FinSet(())
-    return Realization(
-        over=sk,
-        carrier={ob: empty for ob in sk.objects},
-        action={a: FinFunction(empty, empty, {}) for a in sk.arrows},
-    )
-
-
 def path_action(R: Realization, path: tuple[str, ...], at: str) -> FinFunction:
     """The composite function along an arrow path anchored at ``at``."""
     fn = identity(R.carrier[at])
@@ -51,37 +42,28 @@ def identity_morphism(R: Realization) -> RealMorphism:
     return RealMorphism(R, R, {ob: identity(s) for ob, s in R.carrier.items()})
 
 
-def compose_morphisms(f: RealMorphism, g: RealMorphism) -> RealMorphism:
-    if f.tgt.carrier != g.src.carrier:
-        raise ValueError("morphisms do not meet end to end")
-    return RealMorphism(
-        f.src, g.tgt, {ob: compose(f.components[ob], g.components[ob]) for ob in f.components}
-    )
-
-
 # ---------------------------------------------------------------------------
 # cone semantics
 # ---------------------------------------------------------------------------
 
 
-def realized_base(R: Realization, cone: Cone) -> FinDiagram:
-    nodes = {n: R.carrier[ob] for n, ob in cone.nodes.items()}
-    edges = {}
-    for i, e in enumerate(cone.edges):
-        edges[f"e{i}"] = (e.src, e.tgt, path_action(R, e.path, cone.nodes[e.src]))
-    return FinDiagram(nodes, edges)
+def _follow(R: Realization, path: tuple[str, ...], x: str) -> str:
+    for a in path:
+        x = R.action[a].mapping[x]
+    return x
 
 
-def base_families(R: Realization, cone: Cone) -> list[dict[str, str]]:
+def base_families(R: Realization, cone: Cone) -> Iterator[dict[str, str]]:
     """Every compatible family of the realized base, as node -> element dicts."""
-    lim, projs = limit(realized_base(R, cone))
-    return [{n: projs[n](x) for n in cone.nodes} for x in lim]
+    return families(
+        {n: R.carrier[ob].elements for n, ob in cone.nodes.items()},
+        [(e.src, e.tgt, lambda x, p=e.path: _follow(R, p, x)) for e in cone.edges])
 
 
-def _restrictions(cone: Cone, families: list[dict[str, str]]) -> dict[tuple[str, ...], int]:
+def _restrictions(cone: Cone, fams: Iterable[dict[str, str]]) -> dict[tuple[str, ...], int]:
     keys = sorted(cone.projections)
     counts: dict[tuple[str, ...], int] = {}
-    for fam in families:
+    for fam in fams:
         t = tuple(fam[n] for n in keys)
         counts[t] = counts.get(t, 0) + 1
     return counts

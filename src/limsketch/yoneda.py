@@ -27,8 +27,7 @@ class Representable:
     generator: str
 
 
-def representable(sk: Sketch, ob: str,
-                  cfg: ChaseConfig | None = None) -> Representable:
+def representable(sk: Sketch, ob: str) -> Representable:
     """Compute the representable specification at ``ob``.
 
     Runs the chase with no rules on the one-generator presentation.  Over
@@ -47,8 +46,7 @@ def representable(sk: Sketch, ob: str,
     return Representable(ob, st.realization(), generator)
 
 
-def yoneda_arrow(sk: Sketch, arrow: str,
-                 cfg: ChaseConfig | None = None) -> RealMorphism:
+def yoneda_arrow(sk: Sketch, arrow: str) -> RealMorphism:
     """The contravariant action on an arrow f: X -> Z, as Y(Z) -> Y(X).
 
     Sends Z's generator to the image of X's generator under the recorded
@@ -57,8 +55,8 @@ def yoneda_arrow(sk: Sketch, arrow: str,
     decl = sk.arrows.get(arrow)
     if decl is None:
         raise ValueError(f"unknown arrow {arrow!r} in sketch {sk.name}")
-    y_src = representable(sk, decl.src, cfg)
-    y_tgt = representable(sk, decl.tgt, cfg)
+    y_src = representable(sk, decl.src)
+    y_tgt = representable(sk, decl.tgt)
     target_image = y_src.spec.action[arrow](y_src.generator)
     phi = extend_morphism(y_tgt.spec, y_src.spec,
                           {decl.tgt: {y_tgt.generator: target_image}})
@@ -69,8 +67,7 @@ def yoneda_arrow(sk: Sketch, arrow: str,
     return phi
 
 
-def faithfulness_check(sk: Sketch,
-                       cfg: ChaseConfig | None = None) -> ValidationReport:
+def faithfulness_check(sk: Sketch) -> ValidationReport:
     """Check that distinct parallel arrows give distinct morphisms.
 
     Arrows equated by the sketch's path equations are allowed to collide;
@@ -84,7 +81,7 @@ def faithfulness_check(sk: Sketch,
     for (src, tgt), group in sorted(by_endpoints.items()):
         if len(group) < 2:
             continue
-        images = {aid: yoneda_arrow(sk, aid, cfg) for aid in group}
+        images = {aid: yoneda_arrow(sk, aid) for aid in group}
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if images[a] != images[b]:

@@ -29,13 +29,13 @@ from limsketch.localizer import check_sketch_morphism, find_cycles
 from limsketch.realization import (
     Realization,
     check_realization,
-    compose_morphisms,
     enumerate_morphisms,
     extend_morphism,
 )
 from limsketch.sketch import builtin_sketches
 from limsketch.yoneda import density_check, faithfulness_check, representable
 
+from helpers import compose_morphisms
 from test_engine import (
     IM_RULE,
     LOC,

@@ -327,6 +327,9 @@ REJECTED_BY_BOTH = [
     ("sketch a { }\nsketch a { }",
      [sk_doc(objects=[]), sk_doc(objects=[])],
      "duplicate declaration name 'a'"),
+    ("morphism m : graph -> graph { arr s => id(V) }",
+     graph_morphism_doc(arrows={"s": []}),
+     "identity image of arrow 's' needs its source object 'E' mapped"),
 ]
 
 
@@ -348,6 +351,11 @@ def test_text_and_json_reject_alike(text, doc, needle):
     (sk_doc(objects=["A-1"]), "name 'A-1' is not an identifier"),
     ({"kind": "config", "name": "c", "rules": []}, "lists no rules"),
     ({"kind": "config", "name": "c", "max_rounds": -1}, "malformed"),
+    # a string where a list belongs must not read as a list of letters
+    (sk_doc(objects="AB"), "malformed document (expected a list, got 'AB')"),
+    (spec_doc(carriers={"V": "ab"}), "malformed document (expected a list"),
+    ({"kind": "config", "name": "c", "rules": "c_MP"},
+     "malformed document (expected a list"),
 ])
 def test_json_rejects_what_text_cannot_write(doc, needle):
     with pytest.raises(dsl.ParseError) as exc:

@@ -9,8 +9,10 @@ from limsketch.finset import (
     FinDiagram,
     FinFunction,
     FinSet,
+    UnionFind,
     compose,
     congruence_closure,
+    families,
     finset,
     identity,
     is_bijection,
@@ -24,12 +26,15 @@ from limsketch.finset import (
 
 
 def oracle_limit(nodes: dict[str, list[str]], edges: list[tuple[str, str, dict[str, str]]]) -> set[tuple[str, ...]]:
-    """Filter the full cartesian product by every edge constraint."""
+    """Filter the full cartesian product by every edge constraint.
+
+    An edge map may be partial; a value it leaves undefined rules the family out.
+    """
     names = sorted(nodes)
     out = set()
     for combo in itertools.product(*(nodes[n] for n in names)):
         fam = dict(zip(names, combo))
-        if all(fn[fam[s]] == fam[t] for s, t, fn in edges):
+        if all(fn.get(fam[s]) == fam[t] for s, t, fn in edges):
             out.add(tuple(fam[n] for n in names))
     return out
 
@@ -120,6 +125,52 @@ def test_limit_matches_oracle_on_random_diagrams():
             edges.append((s, t, m))
         d = diagram(nodes, edges)
         assert limit_tuples(d) == oracle_limit(nodes, edges)
+
+
+def test_families_with_partial_edges_match_oracle():
+    rng = random.Random(5150)
+    for _ in range(150):
+        nodes = {
+            f"n{i}": [f"n{i}e{j}" for j in range(rng.randint(0, 4))]
+            for i in range(rng.randint(0, 4))
+        }
+        edges = []
+        for _ in range(rng.randint(0, 5) if nodes else 0):
+            s = rng.choice(sorted(nodes))
+            t = rng.choice(sorted(nodes))
+            m = {x: rng.choice(nodes[t]) for x in nodes[s]
+                 if nodes[t] and rng.random() < 0.8}
+            edges.append((s, t, m))
+        fams = list(families(nodes, [(s, t, m.get) for s, t, m in edges]))
+        names = sorted(nodes)
+        got = [tuple(fam[n] for n in names) for fam in fams]
+        assert len(got) == len(set(got))
+        assert set(got) == oracle_limit(nodes, edges)
+        # the order depends on the candidate orders, not on the dict order
+        backwards = dict(reversed(list(nodes.items())))
+        assert list(families(backwards, [(s, t, m.get) for s, t, m in edges])) == fams
+
+
+# ---------------------------------------------------------------------------
+# union-find
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, b", [("x", "y"), ("y", "x")])
+def test_union_keeps_the_first_added_root(a, b):
+    uf = UnionFind(["x", "y", "z"])
+    assert uf.union(a, b) == ("x", "y")
+    assert uf.union(a, b) is None
+    assert uf.union("z", b) == ("x", "z")
+    assert uf.roots() == ["x"]
+
+
+def test_union_compares_roots_not_arguments():
+    uf = UnionFind("abcd")
+    assert uf.union("d", "c") == ("c", "d")
+    assert uf.union("d", "b") == ("b", "c")
+    assert uf.find("d") == "b"
+    assert uf.roots() == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from limsketch.realization import (
     Realization,
     check_morphism,
     check_realization,
-    compose_morphisms,
-    empty_realization,
     enumerate_morphisms,
     extend_morphism,
     identity_morphism,
@@ -21,6 +19,8 @@ from limsketch.realization import (
     restrict_along,
 )
 from limsketch.sketch import builtin_sketches
+
+from helpers import compose_morphisms, empty_realization
 
 GRAPH = builtin_sketches()["graph"]
 MAGMA = builtin_sketches()["magma"]

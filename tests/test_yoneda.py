@@ -3,7 +3,7 @@
 import pytest
 
 from limsketch.localizer import break_cycles
-from limsketch.realization import check_morphism, check_realization, compose_morphisms
+from limsketch.realization import check_morphism, check_realization
 from limsketch.sketch import (
     ArrowDecl,
     Cone,
@@ -18,6 +18,8 @@ from limsketch.yoneda import (
     representable,
     yoneda_arrow,
 )
+
+from helpers import compose_morphisms
 
 MP = builtin_sketches()["mp_theory"]
 GRAPH = builtin_sketches()["graph"]
