@@ -111,9 +111,7 @@ def _carrier_sizes(spec):
 def _added_elements(src, tgt):
     out = {}
     for ob in tgt.over.objects:
-        before = set(src.carrier.get(ob, ()).elements) \
-            if ob in src.carrier else set()
-        new = [x for x in tgt.carrier[ob].elements if x not in before]
+        new = [x for x in tgt.carrier[ob] if x not in src.carrier[ob]]
         if new:
             out[ob] = new
     return out

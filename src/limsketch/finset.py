@@ -12,16 +12,23 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 @dataclass(frozen=True)
 class FinSet:
-    """An ordered finite set of distinct element names."""
+    """An ordered finite set of distinct element names.
+
+    ``members`` is a hashed index of ``elements`` behind every membership
+    test; it is not a dataclass field, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` see ``elements`` alone.
+    """
 
     elements: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.elements)) != len(self.elements):
+        members = frozenset(self.elements)
+        if len(members) != len(self.elements):
             raise ValueError(f"duplicate elements in FinSet: {self.elements}")
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, x: str) -> bool:
-        return x in self.elements
+        return x in self.members
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
@@ -43,13 +50,14 @@ class FinFunction:
     mapping: dict[str, str]
 
     def __post_init__(self) -> None:
-        if set(self.mapping) != set(self.dom.elements):
-            missing = set(self.dom.elements) - set(self.mapping)
-            extra = set(self.mapping) - set(self.dom.elements)
-            raise ValueError(f"function not total on dom (missing {sorted(missing)}, extra {sorted(extra)})")
-        bad = [v for v in self.mapping.values() if v not in self.cod]
-        if bad:
-            raise ValueError(f"function values outside cod: {sorted(set(bad))}")
+        keys, dom = self.mapping.keys(), self.dom.members
+        if keys != dom:
+            raise ValueError(f"function not total on dom "
+                             f"(missing {sorted(dom - keys)}, extra {sorted(keys - dom)})")
+        cod = self.cod.members
+        if not cod.issuperset(self.mapping.values()):
+            bad = {v for v in self.mapping.values() if v not in cod}
+            raise ValueError(f"function values outside cod: {sorted(bad)}")
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]

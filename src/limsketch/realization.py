@@ -69,16 +69,18 @@ def _restrictions(cone: Cone, fams: Iterable[dict[str, str]]) -> dict[tuple[str,
     return counts
 
 
-def apex_tuple(R: Realization, cone: Cone, x: str) -> tuple[str, ...]:
-    return tuple(R.action[cone.projections[n]](x) for n in sorted(cone.projections))
+def _apex_tuples(R: Realization, cone: Cone) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Each apex element with its projections, in sorted projection order."""
+    maps = [R.action[cone.projections[n]].mapping for n in sorted(cone.projections)]
+    for x in R.carrier[cone.apex]:
+        yield x, tuple(m[x] for m in maps)
 
 
 def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     where = f"cone {cone.name}"
     counts = _restrictions(cone, base_families(R, cone))
     seen: dict[tuple[str, ...], str] = {}
-    for x in R.carrier[cone.apex]:
-        t = apex_tuple(R, cone, x)
+    for x, t in _apex_tuples(R, cone):
         if t not in counts:
             out.append(
                 Violation(
@@ -139,16 +141,14 @@ def check_realization(R: Realization) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
     for i, eq in enumerate(sk.equations):
-        at = sk.arrows[eq.lhs[0]].src
-        lhs = path_action(R, eq.lhs, at)
-        rhs = path_action(R, eq.rhs, at)
-        for x in R.carrier[at]:
-            if lhs(x) != rhs(x):
+        for x in R.carrier[sk.arrows[eq.lhs[0]].src]:
+            lhs, rhs = _follow(R, eq.lhs, x), _follow(R, eq.rhs, x)
+            if lhs != rhs:
                 out.append(
                     Violation(
                         "equation-violated",
                         f"equation#{i}",
-                        f"sides disagree at {x!r}: {lhs(x)!r} != {rhs(x)!r}",
+                        f"sides disagree at {x!r}: {lhs!r} != {rhs!r}",
                     )
                 )
     for m in sorted(sk.monos):
@@ -250,8 +250,8 @@ def _derivation_plan(sk: Sketch) -> tuple[list[str], list[tuple[str, Cone]]]:
 
 def _cone_index(R: Realization, cone: Cone) -> dict[tuple[str, ...], str]:
     index: dict[tuple[str, ...], str] = {}
-    for y in R.carrier[cone.apex]:
-        index.setdefault(apex_tuple(R, cone, y), y)
+    for y, t in _apex_tuples(R, cone):
+        index.setdefault(t, y)
     return index
 
 

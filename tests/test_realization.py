@@ -18,7 +18,7 @@ from limsketch.realization import (
     is_isomorphic,
     restrict_along,
 )
-from limsketch.sketch import builtin_sketches
+from limsketch.sketch import ArrowDecl, PathEquation, Sketch, builtin_sketches
 
 from helpers import compose_morphisms, empty_realization
 
@@ -129,6 +129,27 @@ def test_equation_violation_reported():
     action["e_IM"] = FinFunction(c["C_IM"], c["For"], {"ca": "a"})
     report = check_realization(Realization(over=MP, carrier=c, action=action))
     assert "equation-violated" in {v.code for v in report.violations}
+
+
+def test_equation_violation_message_names_both_sides():
+    # f;g = h over X -> Y -> Z, broken at x: the composite reaches a, h reaches b
+    sk = Sketch(
+        name="tri",
+        objects=("X", "Y", "Z"),
+        arrows={"f": ArrowDecl("f", "X", "Y"), "g": ArrowDecl("g", "Y", "Z"),
+                "h": ArrowDecl("h", "X", "Z")},
+        equations=(PathEquation(("f", "g"), ("h",)),),
+    )
+    X, Y, Z = finset(["x"]), finset(["y"]), finset(["a", "b"])
+    R = Realization(
+        over=sk,
+        carrier={"X": X, "Y": Y, "Z": Z},
+        action={"f": FinFunction(X, Y, {"x": "y"}), "g": FinFunction(Y, Z, {"y": "a"}),
+                "h": FinFunction(X, Z, {"x": "b"})},
+    )
+    [v] = check_realization(R).violations
+    assert (v.code, v.where, v.message) == (
+        "equation-violated", "equation#0", "sides disagree at 'x': 'a' != 'b'")
 
 
 def test_mono_injectivity_checked():
