@@ -15,6 +15,7 @@ from pathlib import Path
 from . import dsl
 from .engine import (
     ChaseConfig,
+    ChaseDiverged,
     apply_rule,
     compose_fractions,
     match_rule,
@@ -219,6 +220,9 @@ def cmd_saturate(args) -> int:
     decls = _load(args.files)
     spec = _pick(decls, dsl.NamedSpec, args.spec, "spec")
     rules = _rules_for(decls, spec.realization, args.rules)
+    if args.max_rounds < 0:
+        raise CliError(f"--max-rounds {args.max_rounds} is not a natural "
+                       "number")
     cfg = ChaseConfig(max_rounds=args.max_rounds)
     res = saturate(spec.realization, rules, cfg)
     if args.trace:
@@ -490,6 +494,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ChaseDiverged as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finset import FinFunction, FinSet, UnionFind, families, is_bijection
-from .finset import pushout as finset_pushout
 from .localizer import Localiser
 from .realization import (
     RealMorphism,
@@ -454,15 +453,15 @@ class _Chase:
                                       mapping)
         return Realization(self.sk, carrier, action)
 
-    def embedding_from(self, before: Realization,
-                       result: Realization) -> RealMorphism:
-        components = {}
-        for ob in self.sk.objects:
-            mapping = {x: self.uf[ob].find(x)
-                       for x in before.carrier[ob].elements}
-            components[ob] = FinFunction(before.carrier[ob],
-                                         result.carrier[ob], mapping)
-        return RealMorphism(before, result, components)
+    def leg(self, src: Realization, result: Realization,
+            name=lambda ob, x: x) -> RealMorphism:
+        """The morphism into ``result`` (this state's realization) sending
+        ``x`` at ``ob`` to the class of ``name(ob, x)``."""
+        return RealMorphism(src, result, {
+            ob: FinFunction(src.carrier[ob], result.carrier[ob],
+                            {x: self.uf[ob].find(name(ob, x))
+                             for x in src.carrier[ob].elements})
+            for ob in self.sk.objects})
 
 
 def _state_of(spec: Realization) -> _Chase:
@@ -478,8 +477,9 @@ def saturate(spec: Realization, rules: list[Rule],
     Each round fires every currently unsatisfied match in parallel (rules
     in the given order, matches in carrier order) and then repairs.  The
     chase stops at a fixpoint, or with status ``"capped"`` after
-    ``cfg.max_rounds`` rounds; a capped result is a sound partial
-    approximation that still embeds into the free theory.
+    ``cfg.max_rounds`` rounds (zero rounds only repairs the input); a
+    capped result is a sound partial approximation that still embeds into
+    the free theory.
     """
     cfg = cfg or ChaseConfig()
     active = list(rules)
@@ -501,21 +501,22 @@ def saturate(spec: Realization, rules: list[Rule],
         if not matches:
             status = "fixpoint"
             break
+        if rounds >= cfg.max_rounds:
+            status = "capped"
+            break
         fired = tuple((r.id, x) for r, x in matches)
         for rule, x in matches:
             st.fire(rule, x)
         rounds += 1
-        if rounds >= cfg.max_rounds:
-            st.repair(full=False)
-            close_round(rounds, fired)
+        last = rounds >= cfg.max_rounds
+        st.repair(full=not last)
+        close_round(rounds, fired)
+        if last:
             status = "capped"
             break
-        st.repair(full=True)
-        close_round(rounds, fired)
     result = st.realization()
-    embedding = st.embedding_from(spec, result)
     return ChaseResult(result, status, rounds, ChaseTrace(tuple(trace)),
-                       embedding)
+                       st.leg(spec, result))
 
 
 def rules_of(loc: Localiser) -> list[Rule]:
@@ -571,60 +572,41 @@ def match_rule(rule: Rule, spec: Realization) -> list[Match]:
     return out
 
 
-def _glue_state(sk: Sketch, left: Realization, right: Realization,
+def _glue_state(left: Realization, right: Realization,
                 left_leg: dict[str, FinFunction],
                 right_leg: dict[str, FinFunction]) -> tuple[
-                    _Chase, dict[str, dict[str, str]],
-                    dict[str, dict[str, str]]]:
-    """Push two realizations out over a common shape and seed a chase.
+                    _Chase, dict[str, dict[str, str]]]:
+    """Push ``left`` out along a span onto ``right`` and repair.
 
     ``left_leg`` and ``right_leg`` are the componentwise legs of the span
-    being pushed out (same domain, into ``left`` and ``right``).  Glued
-    classes are renamed to prefer ``right``'s element names over
-    ``left``'s, and the carrier order lists ``right``'s classes first, so
-    the names of the specification being extended survive the gluing.
-    Returns the seeded state plus the renamed injections of both sides.
+    (same domain, into ``left`` and ``right``).  The chase starts from
+    ``right`` as it is, so its names and carrier order survive; each left
+    element in the image of ``left_leg`` is identified with its partners
+    in ``right``, and every other one joins under its own name, primed
+    until the name is free.  Returns the repaired state and the names of
+    ``left``'s elements in it.
     """
-    carriers: dict[str, tuple[str, ...]] = {}
-    left_inj: dict[str, dict[str, str]] = {}
-    right_inj: dict[str, dict[str, str]] = {}
-    for ob in sk.objects:
-        p, ib, ic = finset_pushout(left_leg[ob], right_leg[ob])
-        rename: dict[str, str] = {}
-        taken: set[str] = set()
-        ordered: list[str] = []
-        for source, inj in ((right, ic), (left, ib)):
-            for s in source.carrier[ob].elements:
-                cls = inj(s)
-                if cls in rename:
-                    continue
-                name = s
-                while name in taken:
+    st = _state_of(right)
+    names: dict[str, dict[str, str]] = {}
+    for ob in st.sk.objects:
+        names[ob] = own = {}
+        for a, x in left_leg[ob].mapping.items():
+            y = right_leg[ob](a)
+            if own.setdefault(x, y) != y:
+                st.enqueue(ob, own[x], y)
+        for x in left.carrier[ob].elements:
+            if x not in own:
+                name = x
+                while name in st.uf[ob].parent:
                     name += "'"
-                rename[cls] = name
-                taken.add(name)
-                ordered.append(name)
-        for cls in p.elements:
-            if cls not in rename:
-                name = cls
-                while name in taken:
-                    name += "'"
-                rename[cls] = name
-                taken.add(name)
-                ordered.append(name)
-        carriers[ob] = tuple(ordered)
-        left_inj[ob] = {x: rename[ib(x)]
-                        for x in left.carrier[ob].elements}
-        right_inj[ob] = {x: rename[ic(x)]
-                         for x in right.carrier[ob].elements}
-    st = _Chase(sk, carriers, {})
-    for aid, decl in sk.arrows.items():
+                st._register(ob, name)
+                own[x] = name
+    for aid, decl in st.sk.arrows.items():
         for x, y in left.action[aid].mapping.items():
-            st.put(aid, left_inj[decl.src][x], left_inj[decl.tgt][y])
-        for x, y in right.action[aid].mapping.items():
-            st.put(aid, right_inj[decl.src][x], right_inj[decl.tgt][y])
+            st.put(aid, names[decl.src][x], names[decl.tgt][y])
     st.drain()
-    return st, left_inj, right_inj
+    st.repair(full=True)
+    return st, names
 
 
 def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
@@ -637,22 +619,11 @@ def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
         raise ValueError(
             f"redundant step: match {match.element} of rule {rule.id} is "
             "already satisfied")
-    sk = spec.over
-    st, _, spec_inj = _glue_state(
-        sk, rule.glue, spec,
-        {ob: rule.hyp_to_glue.components[ob] for ob in sk.objects},
-        {ob: match.morphism.components[ob] for ob in sk.objects})
-    st.repair(full=True)
+    st, _ = _glue_state(rule.glue, spec, rule.hyp_to_glue.components,
+                        match.morphism.components)
     result = st.realization()
-    components = {}
-    for ob in sk.objects:
-        mapping = {x: st.uf[ob].find(spec_inj[ob][x])
-                   for x in spec.carrier[ob].elements}
-        components[ob] = FinFunction(spec.carrier[ob], result.carrier[ob],
-                                     mapping)
-    emb = RealMorphism(spec, result, components)
-    return Fraction(spec, result, result, emb, identity_morphism(result),
-                    "by-construction")
+    return Fraction(spec, result, result, st.leg(spec, result),
+                    identity_morphism(result), "by-construction")
 
 
 def is_theory(spec: Realization, rules: list[Rule]) -> bool:
@@ -734,26 +705,11 @@ def compose_fractions(f1: Fraction, f2: Fraction,
     """
     if f1.tgt is not f2.src and f1.tgt != f2.src:
         raise ValueError("fractions do not meet end to end")
-    sk = f1.src.over
-    st, second_inj, first_inj = _glue_state(
-        sk, f2.mid, f1.mid,
-        {ob: f2.h.components[ob] for ob in sk.objects},
-        {ob: f1.c.components[ob] for ob in sk.objects})
-    st.repair(full=True)
+    st, second_inj = _glue_state(f2.mid, f1.mid, f2.h.components,
+                                 f1.c.components)
     mid = st.realization()
-
-    def leg(inj: dict[str, dict[str, str]],
-            pre: RealMorphism) -> RealMorphism:
-        components = {}
-        for ob in sk.objects:
-            mapping = {x: st.uf[ob].find(inj[ob][pre.components[ob](x)])
-                       for x in pre.src.carrier[ob].elements}
-            components[ob] = FinFunction(pre.src.carrier[ob],
-                                         mid.carrier[ob], mapping)
-        return RealMorphism(pre.src, mid, components)
-
-    h = leg(first_inj, f1.h)
-    c = leg(second_inj, f2.c)
+    h = st.leg(f1.src, mid, f1.h)
+    c = st.leg(f2.tgt, mid, lambda ob, x: second_inj[ob][f2.c(ob, x)])
     certificate = "by-construction"
     if not (f1.certificate == "by-construction"
             and f2.certificate == "by-construction"):

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .finset import FinFunction, FinSet, compose, families, identity, is_bijection
+from .finset import FinFunction, FinSet, families, identity, is_bijection
 from .localizer import SketchMorphism, check_sketch_morphism
 from .sketch import Cone, Sketch, ValidationReport, Violation
 
@@ -28,14 +28,6 @@ class RealMorphism:
 
     def __call__(self, ob: str, elem: str) -> str:
         return self.components[ob](elem)
-
-
-def path_action(R: Realization, path: tuple[str, ...], at: str) -> FinFunction:
-    """The composite function along an arrow path anchored at ``at``."""
-    fn = identity(R.carrier[at])
-    for a in path:
-        fn = compose(fn, R.action[a])
-    return fn
 
 
 def identity_morphism(R: Realization) -> RealMorphism:
@@ -184,20 +176,23 @@ def check_morphism(phi: RealMorphism) -> ValidationReport:
             out.append(Violation("component-type", ob, f"component at {ob!r} has wrong carriers"))
     if out:
         return ValidationReport(tuple(out))
-    for aid, decl in sk.arrows.items():
-        top = compose(phi.src.action[aid], phi.components[decl.tgt])
-        bottom = compose(phi.components[decl.src], phi.tgt.action[aid])
-        for x in phi.src.carrier[decl.src]:
-            if top(x) != bottom(x):
-                out.append(
-                    Violation(
-                        "naturality",
-                        aid,
-                        f"square for {aid!r} fails at {x!r}: {top(x)!r} != {bottom(x)!r}",
-                    )
-                )
-                break
+    for aid, x, top, bottom in _failing_squares(phi):
+        out.append(
+            Violation("naturality", aid, f"square for {aid!r} fails at {x!r}: {top!r} != {bottom!r}")
+        )
     return ValidationReport(tuple(out))
+
+
+def _failing_squares(phi: RealMorphism) -> Iterator[tuple[str, str, str, str]]:
+    """Each arrow's first failing naturality square, as (arrow, x, top, bottom)."""
+    for aid, decl in phi.src.over.arrows.items():
+        fx, fy = phi.components[decl.src].mapping, phi.components[decl.tgt].mapping
+        act1, act2 = phi.src.action[aid].mapping, phi.tgt.action[aid].mapping
+        for x in phi.src.carrier[decl.src]:
+            top, bottom = fy[act1[x]], act2[fx[x]]
+            if top != bottom:
+                yield aid, x, top, bottom
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +208,14 @@ def restrict_along(sigma: SketchMorphism, R: Realization) -> Realization:
     if not report.ok:
         raise ValueError(f"invalid sketch morphism:\n{report}")
     carrier = {ob: R.carrier[sigma.object_map[ob]] for ob in sigma.src.objects}
-    action = {}
-    for aid, decl in sigma.src.arrows.items():
-        action[aid] = path_action(R, sigma.arrow_map[aid], sigma.object_map[decl.src])
+    action = {
+        aid: FinFunction(
+            carrier[decl.src],
+            carrier[decl.tgt],
+            {x: _follow(R, sigma.arrow_map[aid], x) for x in carrier[decl.src]},
+        )
+        for aid, decl in sigma.src.arrows.items()
+    }
     return Realization(over=sigma.src, carrier=carrier, action=action)
 
 
@@ -308,12 +308,7 @@ def _derive_apexes(
 
 
 def _natural(phi: RealMorphism) -> bool:
-    for aid, decl in phi.src.over.arrows.items():
-        fx, fy = phi.components[decl.src], phi.components[decl.tgt]
-        act1, act2 = phi.src.action[aid], phi.tgt.action[aid]
-        if any(fy(act1(x)) != act2(fx(x)) for x in act1.dom):
-            return False
-    return True
+    return next(_failing_squares(phi), None) is None
 
 
 def enumerate_morphisms(R1: Realization, R2: Realization, guard: int = 10**6) -> list[RealMorphism]:

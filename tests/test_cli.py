@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from limsketch import dsl
+from limsketch import dsl, engine
 from limsketch.cli import corpus_dir, main
 
 CORPUS = corpus_dir()
@@ -124,6 +124,29 @@ def test_saturate_capped_run(capsys):
     assert code == 0
     assert "status capped rounds 3" in out
     assert "carrier For 15131" in out
+
+
+def test_saturate_max_rounds_zero_only_repairs(capsys):
+    code, out, _ = run(["saturate", MP, "--max-rounds", "0"], capsys)
+    assert code == 0
+    assert "status capped rounds 0" in out
+    assert "carrier For 3" in out
+    code, _, err = run(["saturate", MP, "--max-rounds", "-3"], capsys)
+    assert code == 2
+    assert "--max-rounds -3 is not a natural number" in err
+
+
+def test_diverging_chase_exits_one(tmp_path, monkeypatch, capsys):
+    # over the unbroken theory sketch one formula closes up to infinity;
+    # a small budget makes the chase give up in milliseconds
+    monkeypatch.setattr(engine, "_MAX_ELEMENTS", 200)
+    spec = tmp_path / "one.sk"
+    spec.write_text("spec one over mp_theory { elem a : For }\n")
+    code, out, err = run(["saturate", MP, str(spec), "--spec", "one"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+    assert "Traceback" not in err
 
 
 def test_saturate_json_spec_missing_an_action_exits_two(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Saturation, rule matching, and fraction composition."""
 
 import time
+from importlib import resources
 
 import pytest
 
+from limsketch import dsl
 from limsketch.engine import (
     ChaseConfig,
     Fraction,
@@ -20,7 +22,7 @@ from limsketch.engine import (
     trace_lines,
 )
 from limsketch.finset import FinFunction, finset
-from limsketch.localizer import break_cycles
+from limsketch.localizer import as_localiser, break_cycles
 from limsketch.realization import (
     RealMorphism,
     Realization,
@@ -31,6 +33,7 @@ from limsketch.realization import (
 )
 from limsketch.sketch import builtin_sketches
 
+GRAPH = builtin_sketches()["graph"]
 MP = builtin_sketches()["mp_theory"]
 SP, LOC = break_cycles(MP)
 RULES = rules_of(LOC)
@@ -207,6 +210,14 @@ def test_saturate_capped_growth():
     assert all(b > a for a, b in zip(counts[1:], counts[2:]))
 
 
+def test_saturate_zero_rounds_only_repairs():
+    res = saturate(mp_basic(), RULES, ChaseConfig(max_rounds=0))
+    assert (res.status, res.rounds) == ("capped", 0)
+    assert [r.round for r in res.trace.rounds] == [0]
+    assert len(res.result.carrier["For"].elements) == 3
+    assert res.result == mp_basic()
+
+
 def test_saturate_chained_modus_ponens():
     res = saturate(chain_spec(), [MP_RULE])
     assert res.status == "fixpoint"
@@ -359,3 +370,76 @@ def test_rule_order_changes_trace_not_result():
     assert trace_lines(a) != trace_lines(c)
     assert induced_isomorphism(a, c) is not None
     assert induced_isomorphism(c, a) is not None
+
+
+def renamed(spec, names):
+    """``spec`` with the elements named in ``names`` renamed, order kept."""
+    r = lambda x: names.get(x, x)  # noqa: E731
+    return mk(spec.over,
+              {ob: tuple(map(r, spec.carrier[ob])) for ob in spec.over.objects},
+              {aid: {r(x): r(y) for x, y in fn.mapping.items()}
+               for aid, fn in spec.action.items()})
+
+
+def test_apply_rule_primes_names_that_clash_with_the_glue():
+    spec = renamed(mp_basic(), {"tp": "Theo#1", "tipq": "Theo#5",
+                                "p": "For#3", "q": "For#12",
+                                "d_tp": "C_MP#8"})
+    frac = apply_rule(spec, MP_RULE, match_rule(MP_RULE, spec)[0])
+    assert {ob: frac.tgt.carrier[ob].elements for ob in SP.objects} == {
+        "For": ("For#3", "For#12", "ipq"),
+        "Theo": ("Theo#1", "Theo#5", "Theo#1'"),
+        "H_IM": tuple(f"{a}_{b}" for a in FORMS for b in FORMS),
+        "C_IM": ("c_p", "c_q", "c_ipq"),
+        "H_MP": ("m0",),
+        "C_MP": ("C_MP#8", "d_tipq", "C_MP#0"),
+        "H_IM_part_c_IM": ("w0",),
+        "H_MP_part_c_MP": ("H_MP_part_c_MP#0",),
+    }
+    assert all(frac.h(ob, x) == x
+               for ob in SP.objects for x in spec.carrier[ob])
+    assert check_realization(frac.tgt).ok
+
+
+def test_corpus_proof_composite_carriers():
+    # the proof script "step MP m0", "step IM p_p" on the corpus mp_basic
+    corpus = resources.files("limsketch") / "corpus" / "mp.sk"
+    decls = {d.name: d for d in dsl.parse_path(corpus)}
+    spec = decls["mp_basic"].realization
+    rules = {r.id: r for r in rules_of(as_localiser(decls["mp_sigma"].morphism))}
+    fracs = []
+    current = spec
+    for rid, elem in (("c_MP", "m0"), ("c_IM", "p_p")):
+        match = next(m for m in match_rule(rules[rid], current)
+                     if m.element == elem)
+        fracs.append(apply_rule(current, rules[rid], match))
+        current = fracs[-1].tgt
+    proof = compose_fractions(*fracs)
+    forms = ("p", "q", "ipq")
+    assert {ob: proof.mid.carrier[ob].elements for ob in spec.over.objects} == {
+        "C_IM": ("c_p", "c_q", "c_ipq", "C_IM#0"),
+        "C_MP": ("d_tp", "d_tipq", "C_MP#0"),
+        "For": ("p", "q", "ipq", "For#1"),
+        "H_IM": tuple(f"{a}_{b}" for a in forms for b in forms) + (
+            "H_IM#7", "H_IM#8", "H_IM#10",
+            "H_IM#0", "H_IM#1", "H_IM#2", "H_IM#3"),
+        "H_IM_part_c_IM": ("w0", "H_IM_part_c_IM#0"),
+        "H_MP": ("m0",),
+        "H_MP_part_c_MP": ("H_MP_part_c_MP#0",),
+        "Theo": ("tp", "tipq", "Theo#1"),
+    }
+    assert proof.mid == current
+
+
+def test_compose_primes_a_name_freed_by_a_non_injective_leg():
+    # h sends a and b to q, so S's b is glued into a; Q's own b stays apart
+    # and is primed, because the chase keeps the name b registered
+    s = mk(GRAPH, {"V": ("a", "b")}, {})
+    q = mk(GRAPH, {"V": ("q", "b")}, {})
+    h = inclusion(s, q, a="q", b="q")
+    proof = compose_fractions(
+        identity_fraction(s),
+        Fraction(s, q, q, h, identity_morphism(q), "by-construction"))
+    assert proof.mid.carrier["V"].elements == ("a", "b'")
+    assert proof.h.components["V"].mapping == {"a": "a", "b": "a"}
+    assert proof.c.components["V"].mapping == {"q": "a", "b": "b'"}
