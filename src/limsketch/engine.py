@@ -9,6 +9,7 @@ saturation).
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .finset import FinFunction, FinSet, UnionFind, families, is_bijection
@@ -16,6 +17,7 @@ from .localizer import Localiser
 from .realization import (
     RealMorphism,
     Realization,
+    _extensions,
     extend_morphism,
     identity_morphism,
     restrict_along,
@@ -118,6 +120,36 @@ class ChaseResult:
     embedding: RealMorphism
 
 
+_Reads = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+def _repair_units(sk: Sketch) -> dict[str, list[tuple[object, _Reads]]]:
+    """Each pass kind's repair units in run order, with the objects and
+    arrows each one reads.
+
+    A unit's outcome is a function of the carriers of these objects and the
+    actions of these arrows alone.  An arrow is read with its source and
+    target, whose union-finds enumerate and resolve what it maps; only the
+    totality check, which asks whether a value exists, skips the target.
+    """
+    def reads(arrows, objects=()) -> _Reads:
+        obs = set(objects)
+        for a in arrows:
+            obs.update((sk.arrows[a].src, sk.arrows[a].tgt))
+        return tuple(obs), tuple(set(arrows))
+
+    cones = [sk.cones[name] for name in sorted(sk.cones)]
+    return {
+        "equation": [(eq, reads(eq.lhs + eq.rhs)) for eq in sk.equations],
+        "mono": [(m, reads((m,))) for m in sorted(sk.monos)],
+        "cone": [(c, reads([*c.projections.values(),
+                            *(a for e in c.edges for a in e.path)],
+                           [c.apex, *c.nodes.values()])) for c in cones],
+        "totality": [(a, ((sk.arrows[a].src,), (a,)))
+                     for a in sorted(sk.arrows)],
+    }
+
+
 class _Chase:
     """Mutable chase state: named elements, partial actions, a union-find.
 
@@ -125,6 +157,13 @@ class _Chase:
     representatives are always the oldest element of their class, so input
     names survive identification with freshly created ones.  Action tables
     are keyed by representatives; values are resolved lazily on read.
+
+    Repair is semi-naive.  A clock ticks on every change (an element
+    created, a merge, an action written, an identification queued), and
+    each object and arrow keeps the tick of its own last change.  A repair
+    unit (one equation, mono, cone, or arrow's totality) that ended its
+    last run without changing anything is skipped until something it reads
+    changes, since rerunning it would change nothing either.
     """
 
     def __init__(self, sk: Sketch, carriers: dict[str, tuple[str, ...]],
@@ -133,13 +172,21 @@ class _Chase:
         self.uf: dict[str, UnionFind] = {ob: UnionFind() for ob in sk.objects}
         self.created = 0
         self.fresh_counter = 0
+        self.clock = 0
+        self.ob_stamp = dict.fromkeys(sk.objects, 0)
+        self.arrow_stamp = dict.fromkeys(sk.arrows, 0)
+        self.units = _repair_units(sk)
+        self.clean_at: dict[tuple[str, int], int] = {}
+        self.out_arrows: dict[str, list[str]] = {ob: [] for ob in sk.objects}
+        for aid in sorted(sk.arrows):
+            self.out_arrows[sk.arrows[aid].src].append(aid)
         for ob in sk.objects:
             for x in carriers.get(ob, ()):
                 self._register(ob, x)
         self.act: dict[str, dict[str, str]] = {
             a: dict(actions.get(a, {})) for a in sk.arrows
         }
-        self.pending: list[tuple[str, str, str]] = []
+        self.pending: deque[tuple[str, str, str]] = deque()
         self.round_added: dict[str, list[str]] = {ob: [] for ob in sk.objects}
         self.round_identified: list[tuple[str, str, str]] = []
 
@@ -152,6 +199,11 @@ class _Chase:
                 "unbroken productive cycle")
         self.uf[ob].add(name)
         self.created += 1
+        self._touch_object(ob)
+
+    def _touch_object(self, ob: str) -> None:
+        self.clock += 1
+        self.ob_stamp[ob] = self.clock
 
     def fresh(self, ob: str) -> str:
         while True:
@@ -177,10 +229,16 @@ class _Chase:
             self.act[aid][x] = r
         return r
 
+    def write(self, aid: str, x: str, y: str) -> None:
+        """Write an action value; every change of an action goes here."""
+        self.act[aid][x] = y
+        self.clock += 1
+        self.arrow_stamp[aid] = self.clock
+
     def put(self, aid: str, x: str, y: str) -> None:
         cur = self.get(aid, x)
         if cur is None:
-            self.act[aid][x] = y
+            self.write(aid, x, y)
         elif cur != y:
             self.enqueue(self.sk.arrows[aid].tgt, cur, y)
 
@@ -198,7 +256,7 @@ class _Chase:
             nxt = self.get(a, x)
             if nxt is None:
                 nxt = self.fresh(self.sk.arrows[a].tgt)
-                self.act[a][x] = nxt
+                self.write(a, x, nxt)
             x = nxt
         return x
 
@@ -212,99 +270,104 @@ class _Chase:
             nxt = self.get(a, x)
             if nxt is None:
                 nxt = self.fresh(self.sk.arrows[a].tgt)
-                self.act[a][x] = nxt
+                self.write(a, x, nxt)
             x = nxt
         self.put(path[-1], x, value)
 
     # -- identification ---------------------------------------------------
 
     def enqueue(self, ob: str, a: str, b: str) -> None:
+        self.clock += 1
         self.pending.append((ob, a, b))
 
     def drain(self) -> bool:
         """Apply queued identifications, cascading through actions."""
         merged = False
         while self.pending:
-            ob, a, b = self.pending.pop(0)
+            ob, a, b = self.pending.popleft()
             roots = self.uf[ob].union(a, b)
             if roots is None:
                 continue
             keep, drop = roots
             self.round_identified.append((ob, keep, drop))
+            self._touch_object(ob)
             merged = True
-            for aid in sorted(self.sk.arrows):
-                decl = self.sk.arrows[aid]
-                if decl.src != ob:
-                    continue
+            for aid in self.out_arrows[ob]:
                 table = self.act[aid]
                 moved = table.pop(drop, None)
                 if moved is None:
                     continue
                 if keep in table:
-                    self.enqueue(decl.tgt, table[keep], moved)
+                    self.enqueue(self.sk.arrows[aid].tgt, table[keep], moved)
                 else:
-                    table[keep] = moved
+                    self.write(aid, keep, moved)
         return merged
 
     # -- repair passes ----------------------------------------------------
 
-    def pass_equations(self) -> bool:
+    def _pass(self, kind: str, repair) -> bool:
+        """Run ``repair`` on each unit of one pass kind, skipping a unit
+        that changed nothing in its last run while nothing it reads has
+        changed since.  True when some unit reported a change."""
         changed = False
-        for eq in self.sk.equations:
-            anchor = self.sk.arrows[eq.lhs[0]].src
-            end_ob = self.sk.arrows[eq.lhs[-1]].tgt
-            for x in self.reps(anchor):
-                lv = self.try_eval(eq.lhs, x)
-                rv = self.try_eval(eq.rhs, x)
-                if lv is None and rv is None:
-                    continue
-                if lv is not None and rv is not None:
-                    if lv != rv:
-                        self.enqueue(end_ob, lv, rv)
-                        changed = True
-                elif rv is not None:
-                    self.force_path(eq.lhs, x, rv, anchor)
-                    changed = True
-                else:
-                    self.force_path(eq.rhs, x, lv, anchor)
-                    changed = True
-        if self.drain():
-            changed = True
+        for i, (unit, (objects, arrows)) in enumerate(self.units[kind]):
+            since = self.clean_at.get((kind, i))
+            if since is not None and all(
+                    self.ob_stamp[ob] <= since for ob in objects) and all(
+                    self.arrow_stamp[a] <= since for a in arrows):
+                continue
+            start = self.clock
+            if repair(unit):
+                changed = True
+            if self.clock == start:
+                self.clean_at[kind, i] = start
+            else:
+                self.clean_at.pop((kind, i), None)
         return changed
 
-    def pass_monos(self) -> bool:
+    def _repair_equation(self, eq) -> bool:
         changed = False
-        for m in sorted(self.sk.monos):
-            src = self.sk.arrows[m].src
-            seen: dict[str, str] = {}
-            for x in self.reps(src):
-                y = self.get(m, x)
-                if y is None:
-                    continue
-                prev = seen.get(y)
-                if prev is None:
-                    seen[y] = x
-                elif prev != x:
-                    self.enqueue(src, prev, x)
+        anchor = self.sk.arrows[eq.lhs[0]].src
+        end_ob = self.sk.arrows[eq.lhs[-1]].tgt
+        for x in self.reps(anchor):
+            lv = self.try_eval(eq.lhs, x)
+            rv = self.try_eval(eq.rhs, x)
+            if lv is None and rv is None:
+                continue
+            if lv is not None and rv is not None:
+                if lv != rv:
+                    self.enqueue(end_ob, lv, rv)
                     changed = True
-        if self.drain():
-            changed = True
+            elif rv is not None:
+                self.force_path(eq.lhs, x, rv, anchor)
+                changed = True
+            else:
+                self.force_path(eq.rhs, x, lv, anchor)
+                changed = True
         return changed
 
-    def pass_totality(self) -> bool:
+    def _repair_mono(self, m: str) -> bool:
         changed = False
-        for aid in sorted(self.sk.arrows):
-            decl = self.sk.arrows[aid]
-            for x in self.reps(decl.src):
-                if self.get(aid, x) is None:
-                    self.act[aid][x] = self.fresh(decl.tgt)
-                    changed = True
+        src = self.sk.arrows[m].src
+        seen: dict[str, str] = {}
+        for x in self.reps(src):
+            y = self.get(m, x)
+            if y is None:
+                continue
+            prev = seen.get(y)
+            if prev is None:
+                seen[y] = x
+            elif prev != x:
+                self.enqueue(src, prev, x)
+                changed = True
         return changed
 
-    def pass_cones(self) -> bool:
+    def _repair_totality(self, aid: str) -> bool:
         changed = False
-        for name in sorted(self.sk.cones):
-            if self._repair_cone(self.sk.cones[name]):
+        decl = self.sk.arrows[aid]
+        for x in self.reps(decl.src):
+            if self.get(aid, x) is None:
+                self.write(aid, x, self.fresh(decl.tgt))
                 changed = True
         return changed
 
@@ -348,7 +411,7 @@ class _Chase:
             if t not in seen:
                 x = self.fresh(cone.apex)
                 for n, v in zip(keys, t):
-                    self.act[cone.projections[n]][x] = v
+                    self.write(cone.projections[n], x, v)
                 seen[t] = x
                 changed = True
         # Unrealised tuples: build the missing family from scratch.
@@ -397,17 +460,14 @@ class _Chase:
 
     def repair(self, full: bool) -> None:
         for _ in range(_MAX_PASSES):
-            changed = False
-            if self.pass_equations():
-                changed = True
-            if self.pass_monos():
-                changed = True
-            if full and self.pass_cones():
-                changed = True
-            if self.pass_totality():
-                changed = True
-            if self.drain():
-                changed = True
+            changed = self._pass("equation", self._repair_equation)
+            changed |= self.drain()
+            changed |= self._pass("mono", self._repair_mono)
+            changed |= self.drain()
+            if full:
+                changed |= self._pass("cone", self._repair_cone)
+            changed |= self._pass("totality", self._repair_totality)
+            changed |= self.drain()
             if not changed:
                 return
         raise ChaseDiverged(
@@ -431,7 +491,7 @@ class _Chase:
 
     def fire(self, rule: Rule, element: str) -> None:
         witness = self.fresh(rule.fresh)
-        self.act[rule.h_arrow][witness] = element
+        self.write(rule.h_arrow, witness, element)
 
     # -- extraction -------------------------------------------------------
 
@@ -560,10 +620,11 @@ def match_rule(rule: Rule, spec: Realization) -> list[Match]:
     section witness arrow, i.e. the rule has already been applied there.
     """
     image = set(spec.action[rule.h_arrow].mapping.values())
+    elements = spec.carrier[rule.apex].elements
     out = []
-    for x in spec.carrier[rule.apex].elements:
-        phi = extend_morphism(rule.hypothesis, spec,
-                              {rule.apex: {rule.generator: x}})
+    for x, phi in zip(elements, _extensions(
+            rule.hypothesis, spec,
+            ({rule.apex: {rule.generator: x}} for x in elements))):
         if phi is None:
             raise RuntimeError(
                 f"match {x} of rule {rule.id} has no classifying morphism; "

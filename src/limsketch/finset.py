@@ -107,13 +107,30 @@ def families(
     asks ``f(family[src]) == family[tgt]``, and ``f`` returning None (undefined)
     rules the family out.  Nodes reached along an edge from an assigned node
     are filled by evaluation; the rest are enumerated, highest out-degree
-    first so that propagation prunes early.  The order of the families is a
+    first so that propagation prunes early.  A node whose edge leads to an
+    assigned node takes its candidates from that edge's preimage bucket of
+    the assigned value, the subsequence of its candidates the edge maps
+    there, instead of scanning them all.  The order of the families is a
     function of the candidate orders alone.
     """
     out_deg = {n: 0 for n in nodes}
     for s, _, _ in edges:
         out_deg[s] += 1
     order = sorted(nodes, key=lambda n: (-out_deg[n], n))
+    buckets: dict[int, dict[str, list[str]]] = {}
+
+    def candidates(pick: str, assign: dict[str, str]) -> Sequence[str]:
+        for i, (s, t, f) in enumerate(edges):
+            if s == pick and t in assign:
+                bucket = buckets.get(i)
+                if bucket is None:
+                    bucket = buckets[i] = {}
+                    for v in nodes[s]:
+                        w = f(v)
+                        if w is not None:
+                            bucket.setdefault(w, []).append(v)
+                return bucket.get(assign[t], ())
+        return nodes[pick]
 
     def propagate(assign: dict[str, str]) -> bool:
         work = True
@@ -140,7 +157,7 @@ def families(
         if pick is None:
             yield assign
             return
-        for v in nodes[pick]:
+        for v in candidates(pick, assign):
             yield from search({**assign, pick: v})
 
     return search({})

@@ -345,20 +345,40 @@ def extend_morphism(
     tuples until stable.  Returns None when the seed forces a conflict or
     fails to determine every component.
     """
+    return next(_extensions(src, tgt, [seed]))
+
+
+def _extensions(
+    src: Realization, tgt: Realization, seeds: Iterable[dict[str, dict[str, str]]]
+) -> Iterator[RealMorphism | None]:
+    """``extend_morphism`` of each seed in turn; the target's mono preimages
+    and cone indexes are built once for all of them."""
     sk = src.over
     if sk != tgt.over:
         raise ValueError("realizations are over different sketches")
+    mono_inverse = {}
+    for m in sk.monos:
+        fn = tgt.action[m]
+        mono_inverse[m] = {fn(x): x for x in fn.dom}
+    indexes = {name: _cone_index(tgt, cone) for name, cone in sk.cones.items()}
+    for seed in seeds:
+        yield _propagate(src, tgt, seed, mono_inverse, indexes)
+
+
+def _propagate(
+    src: Realization,
+    tgt: Realization,
+    seed: dict[str, dict[str, str]],
+    mono_inverse: dict[str, dict[str, str]],
+    indexes: dict[str, dict[tuple[str, ...], str]],
+) -> RealMorphism | None:
+    sk = src.over
     comp: dict[str, dict[str, str]] = {ob: {} for ob in sk.objects}
     for ob, m in seed.items():
         for x, y in m.items():
             if x not in src.carrier[ob] or y not in tgt.carrier[ob]:
                 raise ValueError(f"seed {x!r} -> {y!r} not in the {ob!r} carriers")
             comp[ob][x] = y
-    mono_inverse = {}
-    for m in sk.monos:
-        fn = tgt.action[m]
-        mono_inverse[m] = {fn(x): x for x in fn.dom}
-    indexes = {name: _cone_index(tgt, cone) for name, cone in sk.cones.items()}
 
     conflict = False
 
