@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+import string
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .engine import ChaseConfig, ChaseResult, trace_doc
 from .finset import FinFunction, FinSet
@@ -68,40 +69,18 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_#']*")
-# Blanks before a token are part of its match; a search past trailing
-# blanks finds nothing and ends the scan.
+# Each match skips blanks (space, tab, CR, LF) and comments, then captures
+# one token: an identifier, a number, a punctuation mark, one stray
+# character, or the empty text at the end of input.  After the greedy skip
+# the capture always matches, so the scan never backtracks and stays linear.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>//[^\n]*)"
-    rf"|(?P<ident>{_IDENT.pattern})|(?P<num>[0-9]+)"
-    r"|(?P<punct>=>|->|[{}()\[\]:;=,.])|(?P<stray>.))")
-
-
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, issues: list[ParseIssue]) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind != "comment":
-            tok = m[kind]
-            col = m.start(kind) - line_start + 1
-            if kind == "stray":
-                issues.append(ParseIssue(line, col,
-                                         f"stray character {tok!r}"))
-            else:
-                toks.append(_Tok(tok if kind == "punct" else kind, tok, line,
-                                 col))
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
-    return toks
+    r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+    rf"({_IDENT.pattern}|[0-9]+|=>|->|[{{}}()\[\]:;=,.]|.|\Z)")
+# A token's kind: looked up by its text for punctuation, else by its first
+# character; a first character not listed is a stray.
+_KIND = {"": "eof", **dict.fromkeys(string.ascii_letters + "_", "ident"),
+         **dict.fromkeys(string.digits, "num"),
+         **{p: p for p in ("=>", "->", *"{}()[]:;=,.")}}
 
 
 # ---------------------------------------------------------------------------
@@ -374,100 +353,106 @@ class _Recover(Exception):
 class _Parser:
     """The text syntax: tokens, error recovery and line:col positions.
 
-    Every declaration's parts go to a :class:`_Builder`, which checks them.
+    A token is an index into two parallel lists, its text and its kind.  That
+    index is the location every declaration part carries to the
+    :class:`_Builder`, which checks the parts; ``locate`` works out a line
+    and column only for the tokens an issue names.
     """
 
     def __init__(self, text: str, env: dict[str, Sketch] | None):
-        self.build = _Builder(
-            env, lambda tok, message: ParseIssue(tok.line, tok.col, message))
-        self.toks = _tokenize(text, self.build.issues)
+        self.text = text
+        self.texts: list[str] = _TOKEN.findall(text)
+        self.kinds: list[str] = [_KIND.get(t) or _KIND.get(t[:1], "stray")
+                                 for t in self.texts]
+        self.offsets: list[int] | None = None
+        self.line_starts: list[int] = []
+        self.build = _Builder(env, self.locate)
         self.pos = 0
+        if "stray" in self.kinds:
+            self.drop_strays()
 
     # -- token plumbing
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def locate(self, at: int, message: str) -> ParseIssue:
+        if self.offsets is None:
+            self.offsets = [m.start(1) for m in _TOKEN.finditer(self.text)]
+            self.line_starts = [0, *(m.end() for m in
+                                     re.finditer("\n", self.text))]
+        offset = self.offsets[at]
+        line = bisect_right(self.line_starts, offset)
+        return ParseIssue(line, offset - self.line_starts[line - 1] + 1,
+                          message)
 
-    def advance(self) -> _Tok:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def drop_strays(self) -> None:
+        """Report every stray character and take it out of the token lists
+        (the first report builds the offsets, which are filtered alike)."""
+        keep = []
+        for at, kind in enumerate(self.kinds):
+            if kind == "stray":
+                self.build.error(at, f"stray character {self.texts[at]!r}")
+            else:
+                keep.append(at)
+        self.texts = [self.texts[at] for at in keep]
+        self.kinds = [self.kinds[at] for at in keep]
+        self.offsets = [self.offsets[at] for at in keep]
 
-    def fail(self, tok: _Tok, message: str):
-        self.build.error(tok, message)
+    def fail(self, at: int, message: str):
+        self.build.error(at, message)
         raise _Recover
 
-    def expect(self, kind: str, what: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(tok, f"expected {what or kind!r}, found {tok.text!r}"
-                      if tok.kind != "eof"
-                      else f"expected {what or kind!r}, found end of input")
-        return self.advance()
+    def expect(self, kind: str, what: str | None = None) -> int:
+        at = self.pos
+        if self.kinds[at] != kind:
+            found = "end of input" if self.kinds[at] == "eof" else \
+                repr(self.texts[at])
+            self.fail(at, f"expected {what or kind!r}, found {found}")
+        self.pos = at + 1
+        return at
 
     def ident(self, what: str) -> str:
-        return self.expect("ident", what).text
+        return self.texts[self.expect("ident", what)]
+
+    def named(self, what: str) -> tuple[str, int]:
+        """An identifier and its token."""
+        at = self.expect("ident", what)
+        return self.texts[at], at
 
     def skip_to(self, stops: tuple[str, ...]) -> None:
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            kind = self.kinds[self.pos]
+            if kind == "eof":
                 return
-            if depth == 0 and tok.text in stops:
+            if depth == 0 and self.texts[self.pos] in stops:
                 return
-            if tok.kind == "{":
+            if kind == "{":
                 depth += 1
-            elif tok.kind == "}":
+            elif kind == "}":
                 if depth == 0:
                     return
                 depth -= 1
-            self.advance()
-
-    def close_block(self) -> None:
-        """Consume tokens up to and including the current block's '}'."""
-        depth = 1
-        while depth:
-            tok = self.advance()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "{":
-                depth += 1
-            elif tok.kind == "}":
-                depth -= 1
+            self.pos += 1
 
     # -- top level
 
     def parse(self) -> None:
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            at = self.pos
+            kind, word = self.kinds[at], self.texts[at]
+            if kind == "eof":
                 break
-            if tok.kind != "ident" or tok.text not in _TOP_KEYWORDS:
-                self.build.error(tok, "expected one of "
+            if kind != "ident" or word not in _TOP_KEYWORDS:
+                self.build.error(at, "expected one of "
                                  f"{', '.join(_TOP_KEYWORDS)}, found "
-                                 f"{tok.text!r}")
-                self.advance()
+                                 f"{word!r}")
+                self.pos += 1
                 self.skip_to(_TOP_KEYWORDS)
                 continue
-            self.advance()
+            self.pos = at + 1
             try:
-                if tok.text == "sketch":
-                    self.sketch_block()
-                elif tok.text == "spec":
-                    self.spec_block()
-                elif tok.text == "morphism":
-                    self.morphism_block()
-                else:
-                    self.config_block()
+                getattr(self, f"{word}_block")()
             except _Recover:
                 self.skip_to(_TOP_KEYWORDS)
-
-    def named(self, what: str) -> tuple[str, _Tok]:
-        """An identifier and the token it came from."""
-        tok = self.peek()
-        return self.ident(what), tok
 
     def entries(self, what: str, handlers: dict) -> None:
         """Parse ``{ entry* }``.  ``handlers`` maps each entry keyword to a
@@ -476,74 +461,74 @@ class _Parser:
         self.expect("{")
         stops = (*handlers, "}")
         while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                self.advance()
+            at = self.pos
+            kind = self.kinds[at]
+            if kind == "}":
+                self.pos = at + 1
                 return
-            if tok.kind == "eof":
-                self.fail(tok, f"unterminated {what} block")
+            if kind == "eof":
+                self.fail(at, f"unterminated {what} block")
             try:
                 kw = self.ident(f"{what} entry")
                 if kw not in handlers:
-                    self.fail(tok, f"unknown {what} entry {kw!r}")
-                handlers[kw](tok)
+                    self.fail(at, f"unknown {what} entry {kw!r}")
+                handlers[kw](at)
             except _Recover:
                 self.skip_to(stops)
 
     # -- sketch
 
     def sketch_block(self) -> None:
-        name, name_tok = self.named("sketch name")
+        name, name_at = self.named("sketch name")
         objects: list = []
         arrows: list = []
         monos: list = []
         equations: list = []
         cones: list = []
 
-        def arrow(tok: _Tok) -> None:
-            aid, a_tok = self.named("arrow name")
+        def arrow(at: int) -> None:
+            aid, a_at = self.named("arrow name")
             self.expect(":")
             src = self.ident("source object")
             self.expect("->")
             tgt = self.ident("target object")
-            if self.peek().kind == "[":
-                self.advance()
+            if self.kinds[self.pos] == "[":
+                self.pos += 1
                 flag = self.ident("arrow flag")
                 if flag != "mono":
-                    self.build.error(tok, f"unknown arrow flag {flag!r}")
+                    self.build.error(at, f"unknown arrow flag {flag!r}")
                 self.expect("]")
-                monos.append((aid, a_tok))
-            arrows.append((aid, src, tgt, a_tok))
+                monos.append((aid, a_at))
+            arrows.append((aid, src, tgt, a_at))
 
-        def equation(tok: _Tok) -> None:
+        def equation(at: int) -> None:
             lhs, _ = self.dotted()
             self.expect("=")
             rhs, _ = self.dotted()
-            equations.append((lhs, rhs, tok))
+            equations.append((lhs, rhs, at))
 
         self.entries("sketch", {
-            "object": lambda tok: objects.append(self.named("object name")),
+            "object": lambda at: objects.append(self.named("object name")),
             "arrow": arrow,
-            "mono": lambda tok: monos.append(self.named("arrow name")),
+            "mono": lambda at: monos.append(self.named("arrow name")),
             "eq": equation,
-            "cone": lambda tok: cones.append((self.cone(), tok)),
+            "cone": lambda at: cones.append((self.cone(), at)),
         })
-        self.build.sketch(name, name_tok, objects, arrows, monos,
+        self.build.sketch(name, name_at, objects, arrows, monos,
                           equations, cones)
 
     def dotted(self) -> tuple[tuple[str, ...], str | None]:
         """Parse ID(.ID)* or id(OBJ); returns (arrows, anchor)."""
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "id" and \
-                self.toks[self.pos + 1].kind == "(":
-            self.advance()
+        at = self.pos
+        if self.texts[at] == "id" and self.kinds[at + 1] == "(":
+            self.pos += 1
             self.expect("(")
             anchor = self.ident("object name")
             self.expect(")")
             return (), anchor
         parts = [self.ident("arrow path")]
-        while self.peek().kind == ".":
-            self.advance()
+        while self.kinds[self.pos] == ".":
+            self.pos += 1
             parts.append(self.ident("arrow name"))
         return tuple(parts), None
 
@@ -557,19 +542,21 @@ class _Parser:
         except _Recover:
             # leave the cursor just past this cone's closing brace so the
             # enclosing sketch keeps its own braces balanced
-            self.close_block()
+            self.skip_to(())
+            if self.kinds[self.pos] == "}":
+                self.pos += 1
             raise
 
     def cone_body(self, cname: str, apex: str) -> Cone:
         self.expect_keyword("base")
         nodes: dict[str, str] = {}
         edges: list[ConeEdge] = []
-        while self.peek().kind != ";":
-            tok = self.peek()
-            if tok.kind in ("}", "eof"):
-                self.fail(tok, "cone base section is missing ';'")
-            if tok.kind == "ident" and tok.text == "edge":
-                self.advance()
+        while self.kinds[self.pos] != ";":
+            at = self.pos
+            if self.kinds[at] in ("}", "eof"):
+                self.fail(at, "cone base section is missing ';'")
+            if self.texts[at] == "edge":
+                self.pos += 1
                 src = self.ident("base node")
                 self.expect("->")
                 tgt = self.ident("base node")
@@ -577,107 +564,107 @@ class _Parser:
                 path, _ = self.dotted()
                 edges.append(ConeEdge(src, tgt, path))
             else:
-                node, n_tok = self.named("base node")
+                node, n_at = self.named("base node")
                 self.expect(":")
                 ob = self.ident("object name")
                 if node in nodes:
-                    self.build.error(n_tok, f"duplicate base node {node!r}")
+                    self.build.error(n_at, f"duplicate base node {node!r}")
                 else:
                     nodes[node] = ob
         self.expect(";")
         self.expect_keyword("proj")
         projections: dict[str, str] = {}
-        while self.peek().kind != "}":
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail(tok, "unterminated cone block")
+        while self.kinds[self.pos] != "}":
+            if self.kinds[self.pos] == "eof":
+                self.fail(self.pos, "unterminated cone block")
             node = self.ident("base node")
             self.expect("->")
-            arrow, p_tok = self.named("projection arrow")
+            arrow, p_at = self.named("projection arrow")
             if node in projections:
-                self.build.error(p_tok, f"node {node!r} projected twice")
+                self.build.error(p_at, f"node {node!r} projected twice")
             projections[node] = arrow
         self.expect("}")
         return Cone(cname, apex, nodes, tuple(edges), projections)
 
     def expect_keyword(self, word: str) -> None:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.fail(tok, f"expected {word!r}, found {tok.text!r}")
-        self.advance()
+        at = self.pos
+        if self.texts[at] != word:
+            self.fail(at, f"expected {word!r}, found {self.texts[at]!r}")
+        self.pos = at + 1
 
     # -- spec
 
     def spec_block(self) -> None:
-        name, name_tok = self.named("spec name")
+        name, name_at = self.named("spec name")
         self.expect_keyword("over")
-        over, over_tok = self.named("sketch name")
+        over, over_at = self.named("sketch name")
         elems: list = []
         acts: list = []
 
-        def elem(tok: _Tok) -> None:
+        def elem(at: int) -> None:
             el = self.ident("element name")
             self.expect(":")
-            elems.append((el, self.ident("object name"), tok))
+            elems.append((el, self.ident("object name"), at))
 
-        def act(tok: _Tok) -> None:
+        def act(at: int) -> None:
             aid = self.ident("arrow name")
             self.expect("(")
             x = self.ident("element name")
             self.expect(")")
             self.expect("=")
-            acts.append((aid, x, self.ident("element name"), tok))
+            acts.append((aid, x, self.ident("element name"), at))
 
         self.entries("spec", {"elem": elem, "act": act})
-        self.build.spec(name, name_tok, over, over_tok, elems, acts)
+        self.build.spec(name, name_at, over, over_at, elems, acts)
 
     # -- morphism
 
     def morphism_block(self) -> None:
-        name, name_tok = self.named("morphism name")
+        name, name_at = self.named("morphism name")
         self.expect(":")
-        src, src_tok = self.named("source sketch")
+        src, src_at = self.named("source sketch")
         self.expect("->")
-        tgt, tgt_tok = self.named("target sketch")
+        tgt, tgt_at = self.named("target sketch")
         objs: list = []
         arrs: list = []
 
-        def obj(tok: _Tok) -> None:
+        def obj(at: int) -> None:
             a = self.ident("object name")
             self.expect("=>")
-            objs.append((a, self.ident("object name"), tok))
+            objs.append((a, self.ident("object name"), at))
 
-        def arr(tok: _Tok) -> None:
+        def arr(at: int) -> None:
             a = self.ident("arrow name")
             self.expect("=>")
-            path_tok = self.peek()
+            path_at = self.pos
             path, anchor = self.dotted()
-            arrs.append((a, path, anchor, tok, path_tok))
+            arrs.append((a, path, anchor, at, path_at))
 
         self.entries("morphism", {"obj": obj, "arr": arr})
-        self.build.morphism(name, name_tok, src, src_tok, tgt, tgt_tok,
+        self.build.morphism(name, name_at, src, src_at, tgt, tgt_at,
                             objs, arrs)
 
     # -- config
 
     def config_block(self) -> None:
-        name, name_tok = self.named("config name")
+        name, name_at = self.named("config name")
         settings: dict = {}
 
-        def max_rounds(tok: _Tok) -> None:
+        def max_rounds(at: int) -> None:
             self.expect("=")
-            settings["max_rounds"] = int(self.expect("num", "a number").text)
+            settings["max_rounds"] = int(
+                self.texts[self.expect("num", "a number")])
 
-        def rules(tok: _Tok) -> None:
+        def rules(at: int) -> None:
             self.expect("=")
             ids = [self.ident("rule name")]
-            while self.peek().kind == ",":
-                self.advance()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 ids.append(self.ident("rule name"))
             settings["rules"] = tuple(ids)
 
         self.entries("config", {"max_rounds": max_rounds, "rules": rules})
-        self.build.config(name, name_tok, settings.get("max_rounds"),
+        self.build.config(name, name_at, settings.get("max_rounds"),
                           settings.get("rules"))
 
 
@@ -941,7 +928,7 @@ def parse_json(source, env: dict[str, Sketch] | None = None) -> list:
     """
     if isinstance(source, str):
         try:
-            data = json.loads(source)
+            data = json.loads(source, object_pairs_hook=_Object)
         except json.JSONDecodeError as e:
             raise ParseError([ParseIssue(e.lineno, e.colno, e.msg)]) from e
     else:
@@ -955,6 +942,18 @@ def parse_json(source, env: dict[str, Sketch] | None = None) -> list:
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             build.error(idx, f"malformed document ({e})")
     return build.finish()
+
+
+class _Object(dict):
+    """A JSON object.  Its ``items`` keep every pair of a repeated key, so a
+    repeated action or image meets the check its text form meets."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        self.pairs = pairs if len(self) < len(pairs) else None
+
+    def items(self):
+        return self.pairs or super().items()
 
 
 def _list(x) -> list:

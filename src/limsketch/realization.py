@@ -45,20 +45,19 @@ def _follow(R: Realization, path: tuple[str, ...], x: str) -> str:
     return x
 
 
-def base_families(R: Realization, cone: Cone) -> Iterator[dict[str, str]]:
-    """Every compatible family of the realized base, as node -> element dicts."""
+def base_families(
+    R: Realization, cone: Cone, pinned: dict[str, str] | None = None
+) -> Iterator[dict[str, str]]:
+    """Every compatible family of the realized base, as node -> element dicts.
+
+    ``pinned`` narrows each node it names to that one element.
+    """
+    nodes = {n: R.carrier[ob].elements for n, ob in cone.nodes.items()}
+    for n, x in (pinned or {}).items():
+        nodes[n] = (x,) if x in R.carrier[cone.nodes[n]] else ()
     return families(
-        {n: R.carrier[ob].elements for n, ob in cone.nodes.items()},
+        nodes,
         [(e.src, e.tgt, lambda x, p=e.path: _follow(R, p, x)) for e in cone.edges])
-
-
-def _restrictions(cone: Cone, fams: Iterable[dict[str, str]]) -> dict[tuple[str, ...], int]:
-    keys = sorted(cone.projections)
-    counts: dict[tuple[str, ...], int] = {}
-    for fam in fams:
-        t = tuple(fam[n] for n in keys)
-        counts[t] = counts.get(t, 0) + 1
-    return counts
 
 
 def _apex_tuples(R: Realization, cone: Cone) -> Iterator[tuple[str, tuple[str, ...]]]:
@@ -69,19 +68,34 @@ def _apex_tuples(R: Realization, cone: Cone) -> Iterator[tuple[str, tuple[str, .
 
 
 def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
+    """Compare the apex with the base families through the projections.
+
+    Each realized apex tuple is the restriction of some family, so once the
+    distinct restrictions outnumber the distinct apex tuples the comparison
+    is not surjective.  The enumeration stops there and one violation names
+    the first restriction no apex element reaches; an apex tuple not
+    enumerated by then is looked up with its projections pinned.
+    """
     where = f"cone {cone.name}"
-    counts = _restrictions(cone, base_families(R, cone))
+    keys = sorted(cone.projections)
+    apex = list(_apex_tuples(R, cone))
+    limit = len({t for _, t in apex})
+    counts: dict[tuple[str, ...], int] = {}
+    complete = True
+    for fam in base_families(R, cone):
+        t = tuple(fam[n] for n in keys)
+        counts[t] = counts.get(t, 0) + 1
+        if len(counts) > limit:
+            complete = False
+            break
+
+    def pinned(t: tuple[str, ...]) -> bool:
+        """Whether some family restricts to ``t``, once counts are partial."""
+        return next(base_families(R, cone, dict(zip(keys, t))), None) is not None
+
     seen: dict[tuple[str, ...], str] = {}
-    for x, t in _apex_tuples(R, cone):
-        if t not in counts:
-            out.append(
-                Violation(
-                    "cone-comparison-unrealized",
-                    where,
-                    f"apex element {x!r} projects to {t}, which no base family restricts to",
-                )
-            )
-        elif t in seen:
+    for x, t in apex:
+        if t in seen:
             out.append(
                 Violation(
                     "cone-comparison-not-injective",
@@ -89,8 +103,27 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
                     f"apex elements {seen[t]!r} and {x!r} both project to {t}",
                 )
             )
-        else:
+        elif t in counts or not complete and pinned(t):
             seen[t] = x
+        else:
+            out.append(
+                Violation(
+                    "cone-comparison-unrealized",
+                    where,
+                    f"apex element {x!r} projects to {t}, which no base family restricts to",
+                )
+            )
+    if not complete:
+        t = next(t for t in counts if t not in seen)
+        out.append(
+            Violation(
+                "cone-comparison-not-surjective",
+                where,
+                f"no apex element projects to the family restriction {t}, the first of "
+                f"more restrictions than apex tuples; the enumeration stopped there",
+            )
+        )
+        return
     for t, n in sorted(counts.items()):
         if t not in seen:
             out.append(

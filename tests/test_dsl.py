@@ -2,16 +2,29 @@
 
 import dataclasses
 import json
+import random
 import re
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import limsketch
 from limsketch import dsl
 from limsketch.engine import ChaseConfig, rules_of, saturate
 from limsketch.localizer import SketchMorphism, break_cycles
-from limsketch.sketch import ValidationReport, Violation, builtin_sketches
+from limsketch.sketch import (
+    Sketch,
+    ValidationReport,
+    Violation,
+    builtin_sketches,
+)
 
-from test_engine import mp_basic
+from test_engine import MP_RULE, RULES, mp_basic
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 MP = builtin_sketches()["mp_theory"]
 SP, LOC = break_cycles(MP)
@@ -104,6 +117,16 @@ sketch   graph2 {   object V // nodes
     sk = dsl.parse(noisy)[0]
     assert sk.objects == ("V", "E")
     assert set(sk.arrows) == {"s", "t"}
+
+
+@pytest.mark.parametrize("text", [
+    "sketch a { object A } ",
+    "sketch a { object A }\t",
+    "sketch a { object A }\n  ",
+    "sketch a { object A } // no newline after this comment",
+])
+def test_blanks_and_a_comment_may_end_the_file(text):
+    assert dsl.parse(text) == [dsl.parse("sketch a { object A }")[0]]
 
 
 def test_mono_by_suffix_and_by_keyword():
@@ -344,6 +367,92 @@ def test_text_and_json_reject_alike(text, doc, needle):
                      for i in from_json.value.issues]
     assert any(needle in m for m in text_messages), text_messages
     assert json_messages == text_messages
+
+
+def corpus_specs():
+    """Each spec of the corpus and of ``chain(5)``, with the sketches it
+    may name."""
+    out = []
+    for name in ("bank.sk", "graph.sk", "magma.sk", "mp.sk"):
+        decls = dsl.parse_path(resources.files("limsketch") / "corpus" / name)
+        env = {d.name: d for d in decls if isinstance(d, Sketch)}
+        out += [(d, env) for d in decls if isinstance(d, dsl.NamedSpec)]
+    env = workloads.Env(limsketch, {}, SP_NAMED, RULES, MP_RULE, Path("."))
+    out.append((dsl.NamedSpec("chain5", workloads.chain(env, 5, 5)),
+                {"mp_sp": SP_NAMED}))
+    return out
+
+
+def mutated_forms(decl: dsl.NamedSpec, kind: str, rng: random.Random):
+    """The same mutation of ``decl``'s text and of its JSON form."""
+    r = decl.realization
+    lines = dsl.serialize(decl).splitlines(keepends=True)
+    doc = json.loads(dsl.serialize_json(decl))
+    acts = [(aid, x) for aid in sorted(r.action) for x in r.action[aid].dom
+            if len(r.carrier[r.over.arrows[aid].tgt]) > 1]
+    aid, x = rng.choice(acts)
+    y = r.action[aid](x)
+    act_line = lines.index(f"  act {aid}({x}) = {y}\n")
+    elems = [(el, ob) for ob in r.over.objects for el in r.carrier[ob]]
+    el, ob = rng.choice(elems)
+    elem_line = lines.index(f"  elem {el} : {ob}\n")
+    if kind == "drop act":
+        del lines[act_line]
+        del doc["actions"][aid][x]
+    elif kind == "duplicate elem":
+        lines.insert(elem_line, lines[elem_line])
+        doc["carriers"][ob].insert(doc["carriers"][ob].index(el), el)
+    elif kind == "undeclared object":
+        lines[elem_line] = f"  elem {el} : Nowhere\n"
+        doc["carriers"][ob].remove(el)
+        doc["carriers"]["Nowhere"] = [el]
+    elif kind == "undeclared arrow":
+        lines.insert(len(lines) - 1, f"  act nowhere({x}) = {y}\n")
+        doc["actions"]["nowhere"] = {x: y}
+    else:  # a conflicting action; JSON can only say it by repeating a key
+        other = next(z for z in r.carrier[r.over.arrows[aid].tgt]
+                     if z != y)
+        lines.insert(act_line + 1, f"  act {aid}({x}) = {other}\n")
+        doc["actions"][aid] = "@table@"
+        table = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in
+                          [*r.action[aid].mapping.items(), (x, other)])
+        return "".join(lines), json.dumps(doc).replace('"@table@"',
+                                                       f"{{{table}}}")
+    return "".join(lines), doc
+
+
+@pytest.mark.parametrize("kind", ["drop act", "duplicate elem",
+                                  "undeclared object", "undeclared arrow",
+                                  "conflicting action"])
+def test_text_and_json_reject_mutated_specs_alike(kind):
+    rng = random.Random(kind)
+    for decl, env in corpus_specs():
+        for _ in range(3):
+            text, doc = mutated_forms(decl, kind, rng)
+            with pytest.raises(dsl.ParseError) as from_text:
+                dsl.parse(text, env)
+            with pytest.raises(dsl.ParseError) as from_json:
+                dsl.parse_json(doc, env)
+            assert [re.sub(r"^declaration \d+: ", "", i.message)
+                    for i in from_json.value.issues] == \
+                [i.message for i in from_text.value.issues]
+
+
+@pytest.mark.parametrize("text, doc", [
+    ("morphism m : graph -> graph { obj V => V obj V => E }",
+     '{"kind": "morphism", "name": "m", "src": "graph", "tgt": "graph",'
+     ' "objects": {"V": "V", "V": "E"}, "arrows": {}}'),
+    ("morphism m : graph -> graph { arr s => s arr s => t }",
+     '{"kind": "morphism", "name": "m", "src": "graph", "tgt": "graph",'
+     ' "objects": {}, "arrows": {"s": ["s"], "s": ["t"]}}'),
+])
+def test_json_repeated_key_is_checked_like_a_repeated_line(text, doc):
+    with pytest.raises(dsl.ParseError) as from_text:
+        dsl.parse(text)
+    with pytest.raises(dsl.ParseError) as from_json:
+        dsl.parse_json(doc)
+    assert [f"declaration 0: {i.message}" for i in from_text.value.issues] \
+        == [i.message for i in from_json.value.issues]
 
 
 @pytest.mark.parametrize("doc, needle", [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,9 +19,18 @@ from limsketch.realization import (
     is_isomorphic,
     restrict_along,
 )
-from limsketch.sketch import ArrowDecl, PathEquation, Sketch, builtin_sketches
+from limsketch.engine import ChaseConfig, saturate
+from limsketch.sketch import (
+    ArrowDecl,
+    Cone,
+    ConeEdge,
+    PathEquation,
+    Sketch,
+    builtin_sketches,
+)
 
 from helpers import compose_morphisms, empty_realization
+from test_engine import RULES, mp_basic
 
 GRAPH = builtin_sketches()["graph"]
 MAGMA = builtin_sketches()["magma"]
@@ -112,6 +122,47 @@ def test_three_element_pair_carrier_fails_cone():
     report = check_realization(R)
     assert not report.ok
     assert {v.code for v in report.violations} == {"cone-comparison-not-surjective"}
+
+
+def test_check_stops_once_a_cone_is_not_surjective():
+    """The capped MP growth has about 2.3e8 base families over For x For;
+    the check stops after |H_IM| + 1 distinct restrictions."""
+    capped = saturate(mp_basic(), RULES, ChaseConfig(max_rounds=3)).result
+    start = time.perf_counter()
+    report = check_realization(capped)
+    assert time.perf_counter() - start < 1.0
+    assert [(v.code, v.where) for v in report.violations] == [
+        ("cone-comparison-not-surjective", "cone lim_H_IM")]
+
+
+def test_stopped_check_pins_apex_tuples_it_has_not_enumerated():
+    # an equalizer of f, g : A -> B whose families are a = 0, 2, 4, 3 in
+    # that order; the apex projects to 1 (no family) and to 3 (a family the
+    # enumeration stops before, after three restrictions for two tuples)
+    sk = Sketch(
+        name="eq",
+        objects=("A", "B", "P"),
+        arrows={"f": ArrowDecl("f", "A", "B"), "g": ArrowDecl("g", "A", "B"),
+                "p": ArrowDecl("p", "P", "A")},
+        equations=(),
+        cones={"e": Cone("e", "P", {"a": "A", "b": "B"},
+                         (ConeEdge("a", "b", ("f",)), ConeEdge("a", "b", ("g",))),
+                         {"a": "p"})},
+        monos=frozenset(),
+    )
+    A, B, P = finset(["0", "2", "4", "3", "1"]), finset(["x", "y"]), finset(["p1", "p3"])
+    R = Realization(sk, {"A": A, "B": B, "P": P}, {
+        "f": FinFunction(A, B, {a: "x" for a in A}),
+        "g": FinFunction(A, B, {a: "y" if a == "1" else "x" for a in A}),
+        "p": FinFunction(P, A, {"p1": "1", "p3": "3"}),
+    })
+    assert [(v.code, v.message) for v in check_realization(R).violations] == [
+        ("cone-comparison-unrealized",
+         "apex element 'p1' projects to ('1',), which no base family restricts to"),
+        ("cone-comparison-not-surjective",
+         "no apex element projects to the family restriction ('0',), the first of "
+         "more restrictions than apex tuples; the enumeration stopped there"),
+    ]
 
 
 def test_equation_violation_reported():
