@@ -142,7 +142,8 @@ class _Builder:
                cones) -> None:
         """Parts: objects ``(ob, at)``, arrows ``(id, src, tgt, at)``,
         monos ``(id, at)``, equations ``(lhs, rhs, at)``, cones
-        ``(Cone, at)``."""
+        ``(name, apex, nodes, edges, projections, at)`` with nodes
+        ``(node, ob, at)`` and projections ``(node, arrow, at)``."""
         mark = self.declare(name, name_at)
         obj_set: dict[str, None] = {}
         for ob, at in objects:
@@ -183,7 +184,12 @@ class _Builder:
                                f"{aid!r}")
             eq_list.append(PathEquation(lhs, rhs))
         cone_map: dict[str, Cone] = {}
-        for cone, at in cones:
+        for cname, apex, nodes, edges, projections, at in cones:
+            cone = Cone(
+                cname, apex,
+                self.node_table(nodes, "duplicate base node {!r}"),
+                tuple(edges),
+                self.node_table(projections, "node {!r} projected twice"))
             self.spelled(cone.name, at)
             if cone.name in cone_map:
                 self.error(at, f"duplicate cone {cone.name!r}")
@@ -234,6 +240,18 @@ class _Builder:
                     monos=frozenset(mono_ids))
         self.sketches[name] = sk
         self.decls.append(sk)
+
+    def node_table(self, pairs, repeated: str) -> dict[str, str]:
+        """A cone's node-keyed table from ``(node, value, at)`` pairs; a
+        repeated node is reported with ``repeated`` and keeps its first
+        value."""
+        out: dict[str, str] = {}
+        for node, value, at in pairs:
+            if node in out:
+                self.error(at, repeated.format(node))
+            else:
+                out[node] = value
+        return out
 
     def spec(self, name: str, at, over: str, over_at, elems, acts) -> None:
         """Parts: elements ``(el, ob, at)``, actions ``(arrow, x, y, at)``."""
@@ -512,7 +530,7 @@ class _Parser:
             "arrow": arrow,
             "mono": lambda at: monos.append(self.named("arrow name")),
             "eq": equation,
-            "cone": lambda at: cones.append((self.cone(), at)),
+            "cone": lambda at: cones.append((*self.cone(), at)),
         })
         self.build.sketch(name, name_at, objects, arrows, monos,
                           equations, cones)
@@ -532,7 +550,7 @@ class _Parser:
             parts.append(self.ident("arrow name"))
         return tuple(parts), None
 
-    def cone(self) -> Cone:
+    def cone(self) -> tuple:
         cname = self.ident("cone name")
         self.expect(":")
         apex = self.ident("apex object")
@@ -547,9 +565,11 @@ class _Parser:
                 self.pos += 1
             raise
 
-    def cone_body(self, cname: str, apex: str) -> Cone:
+    def cone_body(self, cname: str, apex: str) -> tuple:
+        """The cone's parts, as ``_Builder.sketch`` takes them but for the
+        location, which the caller adds."""
         self.expect_keyword("base")
-        nodes: dict[str, str] = {}
+        nodes: list = []
         edges: list[ConeEdge] = []
         while self.kinds[self.pos] != ";":
             at = self.pos
@@ -566,25 +586,19 @@ class _Parser:
             else:
                 node, n_at = self.named("base node")
                 self.expect(":")
-                ob = self.ident("object name")
-                if node in nodes:
-                    self.build.error(n_at, f"duplicate base node {node!r}")
-                else:
-                    nodes[node] = ob
+                nodes.append((node, self.ident("object name"), n_at))
         self.expect(";")
         self.expect_keyword("proj")
-        projections: dict[str, str] = {}
+        projections: list = []
         while self.kinds[self.pos] != "}":
             if self.kinds[self.pos] == "eof":
                 self.fail(self.pos, "unterminated cone block")
             node = self.ident("base node")
             self.expect("->")
             arrow, p_at = self.named("projection arrow")
-            if node in projections:
-                self.build.error(p_at, f"node {node!r} projected twice")
-            projections[node] = arrow
+            projections.append((node, arrow, p_at))
         self.expect("}")
-        return Cone(cname, apex, nodes, tuple(edges), projections)
+        return cname, apex, nodes, edges, projections
 
     def expect_keyword(self, word: str) -> None:
         at = self.pos
@@ -977,10 +991,11 @@ def _read_doc(build: _Builder, at: int, doc) -> None:
             [(m, at) for m in _list(doc["monos"])],
             [(tuple(_list(q["lhs"])), tuple(_list(q["rhs"])), at)
              for q in _list(doc["equations"])],
-            [(Cone(c["name"], c["apex"], dict(c["nodes"]),
-                   tuple(ConeEdge(e["src"], e["tgt"], tuple(_list(e["path"])))
-                         for e in _list(c["edges"])),
-                   dict(c["projections"])), at)
+            [(c["name"], c["apex"],
+              [(n, ob, at) for n, ob in c["nodes"].items()],
+              [ConeEdge(e["src"], e["tgt"], tuple(_list(e["path"])))
+               for e in _list(c["edges"])],
+              [(n, a, at) for n, a in c["projections"].items()], at)
              for c in _list(doc["cones"])])
     elif kind == "spec":
         build.spec(

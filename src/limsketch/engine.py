@@ -163,7 +163,10 @@ class _Chase:
     each object and arrow keeps the tick of its own last change.  A repair
     unit (one equation, mono, cone, or arrow's totality) that ended its
     last run without changing anything is skipped until something it reads
-    changes, since rerunning it would change nothing either.
+    changes, since rerunning it would change nothing either.  This carries
+    over between states: a realization extracted while every unit is clean
+    is marked repaired, and a state built from a marked one starts with
+    every unit clean.
     """
 
     def __init__(self, sk: Sketch, carriers: dict[str, tuple[str, ...]],
@@ -305,16 +308,21 @@ class _Chase:
 
     # -- repair passes ----------------------------------------------------
 
+    def _clean(self, kind: str, i: int, reads: _Reads) -> bool:
+        """Whether unit ``i`` of ``kind`` changed nothing in its last run
+        and nothing it reads has changed since."""
+        since = self.clean_at.get((kind, i))
+        objects, arrows = reads
+        return since is not None and all(
+            self.ob_stamp[ob] <= since for ob in objects) and all(
+            self.arrow_stamp[a] <= since for a in arrows)
+
     def _pass(self, kind: str, repair) -> bool:
-        """Run ``repair`` on each unit of one pass kind, skipping a unit
-        that changed nothing in its last run while nothing it reads has
-        changed since.  True when some unit reported a change."""
+        """Run ``repair`` on each unit of one pass kind, skipping a clean
+        one.  True when some unit reported a change."""
         changed = False
-        for i, (unit, (objects, arrows)) in enumerate(self.units[kind]):
-            since = self.clean_at.get((kind, i))
-            if since is not None and all(
-                    self.ob_stamp[ob] <= since for ob in objects) and all(
-                    self.arrow_stamp[a] <= since for a in arrows):
+        for i, (unit, reads) in enumerate(self.units[kind]):
+            if self._clean(kind, i, reads):
                 continue
             start = self.clock
             if repair(unit):
@@ -511,7 +519,13 @@ class _Chase:
             mapping = {x: self.get(aid, x) for x in carrier[decl.src].elements}
             action[aid] = FinFunction(carrier[decl.src], carrier[decl.tgt],
                                       mapping)
-        return Realization(self.sk, carrier, action)
+        result = Realization(self.sk, carrier, action)
+        if not self.pending and all(
+                self._clean(kind, i, reads)
+                for kind, units in self.units.items()
+                for i, (_, reads) in enumerate(units)):
+            object.__setattr__(result, "_repaired", True)
+        return result
 
     def leg(self, src: Realization, result: Realization,
             name=lambda ob, x: x) -> RealMorphism:
@@ -527,7 +541,11 @@ class _Chase:
 def _state_of(spec: Realization) -> _Chase:
     carriers = {ob: spec.carrier[ob].elements for ob in spec.over.objects}
     actions = {a: dict(spec.action[a].mapping) for a in spec.over.arrows}
-    return _Chase(spec.over, carriers, actions)
+    st = _Chase(spec.over, carriers, actions)
+    if spec._repaired:
+        st.clean_at = {(kind, i): st.clock for kind, units in st.units.items()
+                       for i in range(len(units))}
+    return st
 
 
 def saturate(spec: Realization, rules: list[Rule],

@@ -19,6 +19,12 @@ class Realization:
     carrier: dict[str, FinSet]
     action: dict[str, FinFunction]
 
+    # True on a realization the chase extracted with every repair unit
+    # clean, so that a chase starting from it skips each unit until the
+    # unit reads a change.  Not a field: equality, hashing, ``repr`` and
+    # ``dataclasses.replace`` ignore it, and a replaced copy is unmarked.
+    _repaired = False
+
 
 @dataclass(frozen=True)
 class RealMorphism:

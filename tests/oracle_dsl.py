@@ -214,8 +214,10 @@ class _Parser:
             "eq": equation,
             "cone": lambda tok: cones.append((self.cone(), tok)),
         })
-        self.build.sketch(name, name_tok, objects, arrows, monos,
-                          equations, cones)
+        self.build.sketch(name, name_tok, objects, arrows, monos, equations, [
+            (c.name, c.apex, [(n, ob, tok) for n, ob in c.nodes.items()],
+             c.edges, [(n, a, tok) for n, a in c.projections.items()], tok)
+            for c, tok in cones])
 
     def dotted(self) -> tuple[tuple[str, ...], str | None]:
         """Parse ID(.ID)* or id(OBJ); returns (arrows, anchor)."""

@@ -353,6 +353,24 @@ REJECTED_BY_BOTH = [
     ("morphism m : graph -> graph { arr s => id(V) }",
      graph_morphism_doc(arrows={"s": []}),
      "identity image of arrow 's' needs its source object 'E' mapped"),
+    # JSON can only repeat a cone's node or projection by repeating a key
+    ("sketch a { object A object B arrow p : A -> A cone c : A {"
+     " base x : A x : B ; proj x -> p } }",
+     '{"kind": "sketch", "name": "a", "objects": ["A", "B"],'
+     ' "arrows": [{"id": "p", "src": "A", "tgt": "A"}], "monos": [],'
+     ' "equations": [], "cones": [{"name": "c", "apex": "A",'
+     ' "nodes": {"x": "A", "x": "B"}, "edges": [],'
+     ' "projections": {"x": "p"}}]}',
+     "duplicate base node 'x'"),
+    ("sketch a { object A arrow p : A -> A arrow q : A -> A cone c : A {"
+     " base x : A ; proj x -> p x -> q } }",
+     '{"kind": "sketch", "name": "a", "objects": ["A"],'
+     ' "arrows": [{"id": "p", "src": "A", "tgt": "A"},'
+     ' {"id": "q", "src": "A", "tgt": "A"}], "monos": [],'
+     ' "equations": [], "cones": [{"name": "c", "apex": "A",'
+     ' "nodes": {"x": "A"}, "edges": [],'
+     ' "projections": {"x": "p", "x": "q"}}]}',
+     "node 'x' projected twice"),
 ]
 
 
