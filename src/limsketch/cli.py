@@ -43,19 +43,26 @@ def corpus_dir():
 # ---------------------------------------------------------------------------
 
 
+def _load_file(path, decls: list, env: dict[str, Sketch],
+               seen: set[str]) -> None:
+    """Append the declarations of ``path`` to ``decls`` unless the file is
+    in ``seen``; its sketches join ``env`` for the files loaded after it."""
+    key = str(Path(path).resolve())
+    if key in seen:
+        return
+    seen.add(key)
+    for d in dsl.parse_path(path, env):
+        decls.append(d)
+        if isinstance(d, Sketch):
+            env[d.name] = d
+
+
 def _load(paths) -> list:
     decls: list = []
     env: dict[str, Sketch] = {}
-    seen = set()
+    seen: set[str] = set()
     for p in paths:
-        key = str(Path(p).resolve())
-        if key in seen:
-            continue
-        seen.add(key)
-        for d in dsl.parse_path(p, env):
-            decls.append(d)
-            if isinstance(d, Sketch):
-                env[d.name] = d
+        _load_file(p, decls, env, seen)
     return decls
 
 
@@ -281,6 +288,7 @@ def cmd_prove(args) -> int:
     script = Path(args.script)
     decls: list = []
     env: dict[str, Sketch] = {}
+    seen: set[str] = set()
     spec = None
     fraction = None
     steps = 0
@@ -291,12 +299,8 @@ def cmd_prove(args) -> int:
         words = line.split()
         where = f"{script}:{lineno}"
         if words[0] == "use" and len(words) == 2:
-            target = (script.parent / words[1]).resolve() \
-                if not Path(words[1]).is_absolute() else Path(words[1])
-            for d in dsl.parse_path(target, env):
-                decls.append(d)
-                if isinstance(d, Sketch):
-                    env[d.name] = d
+            _load_file((script.parent / words[1]).resolve(), decls, env,
+                       seen)
         elif words[0] == "spec" and len(words) == 2:
             named = _pick(decls, dsl.NamedSpec, words[1], "spec")
             spec = named.realization

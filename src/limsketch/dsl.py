@@ -27,6 +27,7 @@ from .sketch import (
     Sketch,
     ValidationReport,
     builtin_sketches,
+    missing_projection_triangle,
 )
 
 
@@ -228,13 +229,9 @@ class _Builder:
         # the equations the core invariant asks for.
         for cone in cone_map.values():
             for e in cone.edges:
-                ps = cone.projections.get(e.src)
-                pt = cone.projections.get(e.tgt)
-                if ps is None or pt is None:
-                    continue
-                lhs, rhs = (ps,) + e.path, (pt,)
-                if not any({q.lhs, q.rhs} == {lhs, rhs} for q in eq_list):
-                    eq_list.append(PathEquation(lhs, rhs))
+                tri = missing_projection_triangle(cone, e, eq_list)
+                if tri is not None:
+                    eq_list.append(tri)
         sk = Sketch(name=name, objects=tuple(obj_set), arrows=arrow_map,
                     equations=tuple(eq_list), cones=cone_map,
                     monos=frozenset(mono_ids))
@@ -710,28 +707,27 @@ def _eq_text(sk: Sketch, eq: PathEquation) -> str:
 
 
 def _serialize_sketch(sk: Sketch) -> str:
+    sk = canonical(sk)
     lines = [f"sketch {sk.name} {{"]
-    for ob in sorted(sk.objects):
+    for ob in sk.objects:
         lines.append(f"  object {ob}")
-    for aid in sorted(sk.arrows):
-        a = sk.arrows[aid]
+    for aid, a in sk.arrows.items():
         flag = " [mono]" if aid in sk.monos else ""
         lines.append(f"  arrow {aid} : {a.src} -> {a.tgt}{flag}")
-    for cname in sorted(sk.cones):
-        cone = sk.cones[cname]
+    for cname, cone in sk.cones.items():
         lines.append(f"  cone {cname} : {cone.apex} {{")
         lines.append("    base")
-        for node in sorted(cone.nodes):
-            lines.append(f"      {node} : {cone.nodes[node]}")
-        for e in sorted(cone.edges, key=lambda e: (e.src, e.tgt, e.path)):
+        for node, ob in cone.nodes.items():
+            lines.append(f"      {node} : {ob}")
+        for e in cone.edges:
             lines.append(f"      edge {e.src} -> {e.tgt} : "
                          f"{_path_text(e.path)}")
         lines.append("    ;")
         lines.append("    proj")
-        for node in sorted(cone.projections):
-            lines.append(f"      {node} -> {cone.projections[node]}")
+        for node, arrow in cone.projections.items():
+            lines.append(f"      {node} -> {arrow}")
         lines.append("  }")
-    for eq in sorted(sk.equations, key=lambda q: (q.lhs, q.rhs)):
+    for eq in sk.equations:
         lines.append(f"  {_eq_text(sk, eq)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -836,34 +832,32 @@ def canonical(sk: Sketch) -> Sketch:
 
 
 def _sketch_doc(sk: Sketch) -> dict:
+    sk = canonical(sk)
     return {
         "kind": "sketch",
         "name": sk.name,
-        "objects": sorted(sk.objects),
+        "objects": list(sk.objects),
         "arrows": [
-            {"id": aid, "src": sk.arrows[aid].src, "tgt": sk.arrows[aid].tgt}
-            for aid in sorted(sk.arrows)
+            {"id": aid, "src": a.src, "tgt": a.tgt}
+            for aid, a in sk.arrows.items()
         ],
         "monos": sorted(sk.monos),
         "cones": [
             {
                 "name": cname,
-                "apex": sk.cones[cname].apex,
-                "nodes": {n: sk.cones[cname].nodes[n]
-                          for n in sorted(sk.cones[cname].nodes)},
+                "apex": cone.apex,
+                "nodes": cone.nodes,
                 "edges": [
                     {"src": e.src, "tgt": e.tgt, "path": list(e.path)}
-                    for e in sorted(sk.cones[cname].edges,
-                                    key=lambda e: (e.src, e.tgt, e.path))
+                    for e in cone.edges
                 ],
-                "projections": {n: sk.cones[cname].projections[n]
-                                for n in sorted(sk.cones[cname].projections)},
+                "projections": cone.projections,
             }
-            for cname in sorted(sk.cones)
+            for cname, cone in sk.cones.items()
         ],
         "equations": [
             {"lhs": list(eq.lhs), "rhs": list(eq.rhs)}
-            for eq in sorted(sk.equations, key=lambda q: (q.lhs, q.rhs))
+            for eq in sk.equations
         ],
     }
 

@@ -268,14 +268,8 @@ class _Chase:
         """Make ``path`` defined at ``x`` with final value ``value``."""
         if not path:
             self.enqueue(anchor, x, value)
-            return
-        for a in path[:-1]:
-            nxt = self.get(a, x)
-            if nxt is None:
-                nxt = self.fresh(self.sk.arrows[a].tgt)
-                self.write(a, x, nxt)
-            x = nxt
-        self.put(path[-1], x, value)
+        else:
+            self.put(path[-1], self.eval_create(path[:-1], x), value)
 
     # -- identification ---------------------------------------------------
 
@@ -283,9 +277,8 @@ class _Chase:
         self.clock += 1
         self.pending.append((ob, a, b))
 
-    def drain(self) -> bool:
+    def drain(self) -> None:
         """Apply queued identifications, cascading through actions."""
-        merged = False
         while self.pending:
             ob, a, b = self.pending.popleft()
             roots = self.uf[ob].union(a, b)
@@ -294,7 +287,6 @@ class _Chase:
             keep, drop = roots
             self.round_identified.append((ob, keep, drop))
             self._touch_object(ob)
-            merged = True
             for aid in self.out_arrows[ob]:
                 table = self.act[aid]
                 moved = table.pop(drop, None)
@@ -304,7 +296,6 @@ class _Chase:
                     self.enqueue(self.sk.arrows[aid].tgt, table[keep], moved)
                 else:
                     self.write(aid, keep, moved)
-        return merged
 
     # -- repair passes ----------------------------------------------------
 
@@ -317,24 +308,20 @@ class _Chase:
             self.ob_stamp[ob] <= since for ob in objects) and all(
             self.arrow_stamp[a] <= since for a in arrows)
 
-    def _pass(self, kind: str, repair) -> bool:
+    def _pass(self, kind: str, repair) -> None:
         """Run ``repair`` on each unit of one pass kind, skipping a clean
-        one.  True when some unit reported a change."""
-        changed = False
+        one; a unit whose run left the clock where it was is clean."""
         for i, (unit, reads) in enumerate(self.units[kind]):
             if self._clean(kind, i, reads):
                 continue
             start = self.clock
-            if repair(unit):
-                changed = True
+            repair(unit)
             if self.clock == start:
                 self.clean_at[kind, i] = start
             else:
                 self.clean_at.pop((kind, i), None)
-        return changed
 
-    def _repair_equation(self, eq) -> bool:
-        changed = False
+    def _repair_equation(self, eq) -> None:
         anchor = self.sk.arrows[eq.lhs[0]].src
         end_ob = self.sk.arrows[eq.lhs[-1]].tgt
         for x in self.reps(anchor):
@@ -345,17 +332,12 @@ class _Chase:
             if lv is not None and rv is not None:
                 if lv != rv:
                     self.enqueue(end_ob, lv, rv)
-                    changed = True
             elif rv is not None:
                 self.force_path(eq.lhs, x, rv, anchor)
-                changed = True
             else:
                 self.force_path(eq.rhs, x, lv, anchor)
-                changed = True
-        return changed
 
-    def _repair_mono(self, m: str) -> bool:
-        changed = False
+    def _repair_mono(self, m: str) -> None:
         src = self.sk.arrows[m].src
         seen: dict[str, str] = {}
         for x in self.reps(src):
@@ -367,20 +349,14 @@ class _Chase:
                 seen[y] = x
             elif prev != x:
                 self.enqueue(src, prev, x)
-                changed = True
-        return changed
 
-    def _repair_totality(self, aid: str) -> bool:
-        changed = False
+    def _repair_totality(self, aid: str) -> None:
         decl = self.sk.arrows[aid]
         for x in self.reps(decl.src):
             if self.get(aid, x) is None:
                 self.write(aid, x, self.fresh(decl.tgt))
-                changed = True
-        return changed
 
-    def _repair_cone(self, cone: Cone) -> bool:
-        changed = False
+    def _repair_cone(self, cone: Cone) -> None:
         keys = sorted(cone.projections)
         # Projection tuples of apex elements whose projections all exist.
         tuples: dict[str, tuple[str, ...]] = {}
@@ -404,7 +380,6 @@ class _Chase:
             for other in fams[1:]:
                 for n in sorted(cone.nodes):
                     self.enqueue(cone.nodes[n], base[n], other[n])
-                changed = True
         # Comparison injectivity: equal tuples force equal apex elements.
         seen: dict[tuple[str, ...], str] = {}
         for x, t in tuples.items():
@@ -413,24 +388,17 @@ class _Chase:
                 seen[t] = x
             else:
                 self.enqueue(cone.apex, prev, x)
-                changed = True
         # Comparison surjectivity: every family needs an apex element.
         for t in by_restriction:
             if t not in seen:
                 x = self.fresh(cone.apex)
                 for n, v in zip(keys, t):
                     self.write(cone.projections[n], x, v)
-                seen[t] = x
-                changed = True
         # Unrealised tuples: build the missing family from scratch.
-        for x, t in tuples.items():
+        for t in seen:
             if t not in by_restriction:
                 self._create_family(cone, dict(zip(keys, t)))
-                by_restriction[t] = []
-                changed = True
-        if self.drain():
-            changed = True
-        return changed
+        self.drain()
 
     def _families(self, cone: Cone) -> list[dict[str, str]]:
         """Enumerate all fully defined compatible families over the base."""
@@ -459,24 +427,22 @@ class _Chase:
             missing = next(n for n in sorted(cone.nodes) if n not in local)
             local[missing] = self.fresh(cone.nodes[missing])
         for e in cone.edges:
-            cur = self.try_eval(e.path, local[e.src])
-            if cur is None:
-                self.force_path(e.path, local[e.src], local[e.tgt],
-                                cone.nodes[e.src])
-            elif cur != local[e.tgt]:
-                self.enqueue(cone.nodes[e.tgt], cur, local[e.tgt])
+            self.force_path(e.path, local[e.src], local[e.tgt],
+                            cone.nodes[e.src])
 
     def repair(self, full: bool) -> None:
+        """Sweep the pass kinds until a sweep leaves the clock unchanged."""
         for _ in range(_MAX_PASSES):
-            changed = self._pass("equation", self._repair_equation)
-            changed |= self.drain()
-            changed |= self._pass("mono", self._repair_mono)
-            changed |= self.drain()
+            start = self.clock
+            self._pass("equation", self._repair_equation)
+            self.drain()
+            self._pass("mono", self._repair_mono)
+            self.drain()
             if full:
-                changed |= self._pass("cone", self._repair_cone)
-            changed |= self._pass("totality", self._repair_totality)
-            changed |= self.drain()
-            if not changed:
+                self._pass("cone", self._repair_cone)
+            self._pass("totality", self._repair_totality)
+            self.drain()
+            if self.clock == start:
                 return
         raise ChaseDiverged(
             "repair did not stabilise; the sketch likely has an unbroken "
@@ -562,8 +528,11 @@ def saturate(spec: Realization, rules: list[Rule],
     cfg = cfg or ChaseConfig()
     active = list(rules)
     if cfg.rule_subset is not None:
-        wanted = set(cfg.rule_subset)
-        active = [r for r in active if r.id in wanted]
+        unknown = set(cfg.rule_subset) - {r.id for r in rules}
+        if unknown:
+            raise ValueError(f"rule_subset names unknown rules: "
+                             f"{', '.join(sorted(unknown))}")
+        active = [r for r in active if r.id in cfg.rule_subset]
     st = _state_of(spec)
     trace: list[TraceRound] = []
 

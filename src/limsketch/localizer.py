@@ -105,18 +105,18 @@ def projection_arrows(sk: Sketch) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def paths_equivalent(
-    sk: Sketch,
-    a: tuple[str, ...],
-    b: tuple[str, ...],
-    depth: int = 8,
-    max_seen: int = 20000,
-) -> bool:
+# Bounds of the rewrite search: at most this many rewriting steps, and at
+# most this many distinct paths kept.
+_REWRITE_DEPTH = 8
+_MAX_REWRITTEN = 20_000
+
+
+def paths_equivalent(sk: Sketch, a: tuple[str, ...], b: tuple[str, ...]) -> bool:
     """Breadth-first search for a rewrite chain a ->* b using sk's equations.
 
     Each declared equation may be applied left-to-right or right-to-left at
     any position.  The search is sound but incomplete: a False answer only
-    means no chain was found within ``depth`` steps.
+    means no chain was found within ``_REWRITE_DEPTH`` steps.
     """
     if a == b:
         return True
@@ -126,7 +126,7 @@ def paths_equivalent(
         rules.append((eq.rhs, eq.lhs))
     seen = {a}
     frontier = deque([a])
-    for _ in range(depth):
+    for _ in range(_REWRITE_DEPTH):
         if not frontier:
             break
         next_frontier: deque[tuple[str, ...]] = deque()
@@ -140,7 +140,7 @@ def paths_equivalent(
                     cand = cur[:i] + new + cur[i + len(old) :]
                     if cand == b:
                         return True
-                    if cand not in seen and len(seen) < max_seen:
+                    if cand not in seen and len(seen) < _MAX_REWRITTEN:
                         seen.add(cand)
                         next_frontier.append(cand)
         frontier = next_frontier
@@ -152,7 +152,7 @@ def paths_equivalent(
 # ---------------------------------------------------------------------------
 
 
-def check_sketch_morphism(m: SketchMorphism, rewrite_depth: int = 8) -> ValidationReport:
+def check_sketch_morphism(m: SketchMorphism) -> ValidationReport:
     """Validate totality, typing, mono/equation/cone transport.
 
     Equation images that cannot be confirmed within the rewriting depth are
@@ -200,12 +200,12 @@ def check_sketch_morphism(m: SketchMorphism, rewrite_depth: int = 8) -> Validati
         )
     for i, eq in enumerate(m.src.equations):
         lhs, rhs = m.map_path(eq.lhs), m.map_path(eq.rhs)
-        if not paths_equivalent(m.tgt, lhs, rhs, depth=rewrite_depth):
+        if not paths_equivalent(m.tgt, lhs, rhs):
             out.append(
                 Violation(
                     "equation-not-confirmed",
                     f"equation#{i}",
-                    f"image {list(lhs)} = {list(rhs)} not derivable within depth {rewrite_depth}",
+                    f"image {list(lhs)} = {list(rhs)} not derivable within depth {_REWRITE_DEPTH}",
                     severity="warning",
                 )
             )

@@ -9,6 +9,7 @@ interpret sketches in finite sets or rewrite them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -201,105 +202,41 @@ def _validate_cone(sk: Sketch, cone: Cone, out: list[Violation]) -> None:
                 )
             )
             continue
-        # a path between two projected nodes must be backed by an equation
-        ps, pt = cone.projections.get(edge.src), cone.projections.get(edge.tgt)
-        if ps is not None and pt is not None:
-            lhs, rhs = (ps,) + edge.path, (pt,)
-            if not any({e.lhs, e.rhs} == {lhs, rhs} for e in sk.equations):
-                out.append(
-                    Violation(
-                        "missing-proj-equation",
-                        where,
-                        f"edge {edge.src}->{edge.tgt} needs equation {list(lhs)} = {list(rhs)}",
-                    )
+        tri = missing_projection_triangle(cone, edge, sk.equations)
+        if tri is not None:
+            out.append(
+                Violation(
+                    "missing-proj-equation",
+                    where,
+                    f"edge {edge.src}->{edge.tgt} needs equation {list(tri.lhs)} = {list(tri.rhs)}",
                 )
-
-
-def builtin_sketches() -> dict[str, Sketch]:
-    """The bundled examples: graph, magma, and the modus ponens theory."""
-    graph = Sketch(
-        name="graph",
-        objects=("E", "V"),
-        arrows={"s": ArrowDecl("s", "E", "V"), "t": ArrowDecl("t", "E", "V")},
-    )
-    magma = Sketch(
-        name="magma",
-        objects=("M", "M2"),
-        arrows={
-            "s": ArrowDecl("s", "M2", "M"),
-            "t": ArrowDecl("t", "M2", "M"),
-            "k": ArrowDecl("k", "M2", "M"),
-        },
-        cones={
-            "prod": Cone(
-                name="prod",
-                apex="M2",
-                nodes={"n1": "M", "n2": "M"},
-                projections={"n1": "s", "n2": "t"},
             )
-        },
-    )
-    mp = Sketch(
-        name="mp_theory",
-        objects=("For", "Theo", "H_IM", "C_IM", "H_MP", "C_MP"),
-        arrows={
-            "inc": ArrowDecl("inc", "Theo", "For"),
-            "p1": ArrowDecl("p1", "H_IM", "For"),
-            "p2": ArrowDecl("p2", "H_IM", "For"),
-            "c_IM": ArrowDecl("c_IM", "H_IM", "C_IM"),
-            "e_IM": ArrowDecl("e_IM", "C_IM", "For"),
-            "t1": ArrowDecl("t1", "H_MP", "Theo"),
-            "t2": ArrowDecl("t2", "H_MP", "Theo"),
-            "q": ArrowDecl("q", "H_MP", "For"),
-            "c_MP": ArrowDecl("c_MP", "H_MP", "C_MP"),
-            "e_MP": ArrowDecl("e_MP", "C_MP", "Theo"),
-        },
-        equations=(
-            # the theorem concluded by modus ponens is the minor premise
-            PathEquation(("c_MP", "e_MP", "inc"), ("q",)),
-        ),
-        cones={
-            "lim_C_IM": Cone(
-                name="lim_C_IM",
-                apex="C_IM",
-                nodes={"n0": "For"},
-                projections={"n0": "e_IM"},
-            ),
-            "lim_H_IM": Cone(
-                name="lim_H_IM",
-                apex="H_IM",
-                nodes={"n1": "For", "n2": "For"},
-                projections={"n1": "p1", "n2": "p2"},
-            ),
-            "lim_C_MP": Cone(
-                name="lim_C_MP",
-                apex="C_MP",
-                nodes={"n0": "Theo"},
-                projections={"n0": "e_MP"},
-            ),
-            "lim_H_MP": Cone(
-                name="lim_H_MP",
-                apex="H_MP",
-                nodes={
-                    "np": "Theo",
-                    "nq": "For",
-                    "nr": "Theo",
-                    "nx": "H_IM",
-                    "ny": "C_IM",
-                    "nf1": "For",
-                    "nf2": "For",
-                },
-                edges=(
-                    ConeEdge("nx", "nf1", ("p1",)),
-                    ConeEdge("np", "nf1", ("inc",)),
-                    ConeEdge("nx", "nq", ("p2",)),
-                    ConeEdge("nx", "ny", ("c_IM",)),
-                    ConeEdge("ny", "nf2", ("e_IM",)),
-                    ConeEdge("nr", "nf2", ("inc",)),
-                ),
-                projections={"np": "t1", "nq": "q", "nr": "t2"},
-            ),
-        },
-        monos=frozenset({"inc"}),
-    )
-    return {"graph": graph, "magma": magma, "mp_theory": mp}
+
+
+def missing_projection_triangle(cone: Cone, edge: ConeEdge, equations) -> PathEquation | None:
+    """The projection triangle ``(p_src,) + path = (p_tgt,)`` that an edge
+    between two projected nodes needs, when no equation in ``equations``
+    states it either way round; None otherwise."""
+    ps, pt = cone.projections.get(edge.src), cone.projections.get(edge.tgt)
+    if ps is None or pt is None:
+        return None
+    lhs, rhs = (ps,) + edge.path, (pt,)
+    if any({q.lhs, q.rhs} == {lhs, rhs} for q in equations):
+        return None
+    return PathEquation(lhs, rhs)
+
+
+@cache
+def builtin_sketches() -> dict[str, Sketch]:
+    """The bundled examples: graph, magma, and the modus ponens theory, as
+    the shipped corpus declares them.  The files are read once; every call
+    returns the same dict, which callers must not change."""
+    from importlib import resources
+
+    from . import dsl  # dsl imports this module
+
+    corpus = resources.files(__package__) / "corpus"
+    return {name: next(d for d in dsl.parse_path(corpus / file)
+                       if isinstance(d, Sketch) and d.name == name)
+            for name, file in (("graph", "graph.sk"), ("magma", "magma.sk"),
+                               ("mp_theory", "mp.sk"))}

@@ -215,6 +215,23 @@ def test_prove_composes_steps(tmp_path, capsys):
     assert {"p", "q", "ipq"} <= theorems
 
 
+def test_prove_loads_a_repeated_use_once(tmp_path, capsys):
+    """A file named twice, however spelled, is loaded once, as in `_load`."""
+    (tmp_path / "mp.sk").write_text((CORPUS / "mp.sk").read_text())
+    body = "spec mp_basic\nstep MP m0\nstep IM p_p\n"
+    outs = []
+    for uses in ("use mp.sk\n", "use mp.sk\nuse ./mp.sk\n",
+                 "use mp.sk\nuse mp.sk\n",
+                 f"use ./mp.sk\nuse {tmp_path / 'mp.sk'}\n"):
+        script = tmp_path / "proof.txt"
+        script.write_text(uses + body)
+        code, out, err = run(["prove", str(script)], capsys)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0].startswith("proof of 2 step(s)")
+    assert outs[1:] == outs[:1] * 3
+
+
 def test_prove_bad_step_exits_two(tmp_path, capsys):
     script = tmp_path / "proof.txt"
     script.write_text(f"use {MP}\nspec mp_basic\nstep MP zz\n")

@@ -244,6 +244,15 @@ def test_rule_subset_config():
     assert full.status == "capped" and only_mp.status == "fixpoint"
 
 
+def test_rule_subset_rejects_unknown_ids():
+    """A misspelt id must not read as a finished theory."""
+    with pytest.raises(ValueError, match="MPP, zz"):
+        saturate(mp_basic(), RULES,
+                 ChaseConfig(rule_subset=("c_MPP", "zz", "c_MP")))
+    with pytest.raises(ValueError, match="c_IM"):
+        saturate(mp_basic(), [MP_RULE], ChaseConfig(rule_subset=("c_IM",)))
+
+
 def test_apply_rule_matches_engine_firing():
     basic = mp_basic()
     match = match_rule(MP_RULE, basic)[0]
