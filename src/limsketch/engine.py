@@ -11,12 +11,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
-from .finset import FinFunction, FinSet, UnionFind, families, is_bijection
+from .finset import (
+    FinFunction,
+    FinSet,
+    UnionFind,
+    compose_partial,
+    is_bijection,
+    join,
+    plan_join,
+)
 from .localizer import Localiser
 from .realization import (
     RealMorphism,
     Realization,
+    _base_order,
     _extensions,
     extend_morphism,
     identity_morphism,
@@ -189,6 +199,8 @@ class _Chase:
         self.act: dict[str, dict[str, str]] = {
             a: dict(actions.get(a, {})) for a in sk.arrows
         }
+        self.lookup = {a: self._lookup(a) for a in sk.arrows}
+        self.joins = {name: self._cone_join(c) for name, c in sk.cones.items()}
         self.pending: deque[tuple[str, str, str]] = deque()
         self.round_added: dict[str, list[str]] = {ob: [] for ob in sk.objects}
         self.round_identified: list[tuple[str, str, str]] = []
@@ -356,62 +368,78 @@ class _Chase:
             if self.get(aid, x) is None:
                 self.write(aid, x, self.fresh(decl.tgt))
 
+    def _lookup(self, aid: str) -> Callable[[str], str | None]:
+        """``get`` of one arrow, bound to its action table and to the
+        union-find of its target, without writing resolved values back."""
+        table, find = self.act[aid].get, self.uf[self.sk.arrows[aid].tgt].find
+
+        def lookup(x: str) -> str | None:
+            v = table(x)
+            return v if v is None else find(v)
+        return lookup
+
+    def _cone_join(self, cone: Cone) -> tuple:
+        """The join of ``cone``, compiled for this state: its plan, the
+        objects of the plan's nodes, lookups along its edges and its
+        projections, and (family position, object) in sorted node order."""
+        nodes = _base_order(cone)
+        keys = nodes[:len(cone.projections)]
+        return (plan_join(nodes, [(e.src, e.tgt) for e in cone.edges]),
+                [cone.nodes[n] for n in nodes],
+                [compose_partial([self.lookup[a] for a in e.path])
+                 for e in cone.edges],
+                [self.lookup[cone.projections[n]] for n in keys],
+                [(nodes.index(n), cone.nodes[n]) for n in sorted(cone.nodes)])
+
     def _repair_cone(self, cone: Cone) -> None:
-        keys = sorted(cone.projections)
-        # Projection tuples of apex elements whose projections all exist.
-        tuples: dict[str, tuple[str, ...]] = {}
-        for x in self.reps(cone.apex):
-            vals = []
-            for n in keys:
-                v = self.get(cone.projections[n], x)
-                if v is None:
-                    break
-                vals.append(v)
-            else:
-                tuples[x] = tuple(vals)
-        families = self._families(cone)
-        by_restriction: dict[tuple[str, ...], list[dict[str, str]]] = {}
-        for fam in families:
-            key = tuple(fam[n] for n in keys)
-            by_restriction.setdefault(key, []).append(fam)
-        # Ambiguous extensions: merge the competing families pointwise.
-        for fams in by_restriction.values():
-            base = fams[0]
-            for other in fams[1:]:
-                for n in sorted(cone.nodes):
-                    self.enqueue(cone.nodes[n], base[n], other[n])
-        # Comparison injectivity: equal tuples force equal apex elements.
+        plan, objects, lookups, projections, merge = self.joins[cone.name]
+        # Projection tuples of apex elements whose projections all exist,
+        # read a column per projection; without projections every tuple
+        # is empty.
         seen: dict[tuple[str, ...], str] = {}
-        for x, t in tuples.items():
-            prev = seen.get(t)
-            if prev is None:
-                seen[t] = x
-            else:
-                self.enqueue(cone.apex, prev, x)
+        clashes: list[tuple[str, str]] = []
+        apex = self.reps(cone.apex)
+        columns = [map(f, apex) for f in projections]
+        for x, t in zip(apex, zip(*columns) if columns else [()] * len(apex)):
+            if None not in t:
+                prev = seen.setdefault(t, x)
+                if prev is not x:
+                    clashes.append((prev, x))
+        # Base families by restriction, their prefix over the projected
+        # nodes: the first family of each, and any others.
+        reps = {ob: self.reps(ob) for ob in set(objects)}
+        first: dict[tuple[str, ...], tuple[str, ...]] = {}
+        others: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        k = len(projections)
+        for count, fam in enumerate(
+                join(plan, [reps[ob] for ob in objects], lookups)):
+            if count >= _MAX_ELEMENTS:
+                raise ChaseDiverged(
+                    "cone family enumeration exceeded the chase budget")
+            key = fam[:k]
+            if first.setdefault(key, fam) is not fam:
+                others.setdefault(key, []).append(fam)
+        # Ambiguous extensions: merge the competing families pointwise.
+        if others:
+            for key, base in first.items():
+                for other in others.get(key, ()):
+                    for i, ob in merge:
+                        self.enqueue(ob, base[i], other[i])
+        # Comparison injectivity: equal tuples force equal apex elements.
+        for prev, x in clashes:
+            self.enqueue(cone.apex, prev, x)
         # Comparison surjectivity: every family needs an apex element.
-        for t in by_restriction:
+        keys = plan.nodes[:k]
+        for t in first:
             if t not in seen:
                 x = self.fresh(cone.apex)
                 for n, v in zip(keys, t):
                     self.write(cone.projections[n], x, v)
         # Unrealised tuples: build the missing family from scratch.
         for t in seen:
-            if t not in by_restriction:
+            if t not in first:
                 self._create_family(cone, dict(zip(keys, t)))
         self.drain()
-
-    def _families(self, cone: Cone) -> list[dict[str, str]]:
-        """Enumerate all fully defined compatible families over the base."""
-        out: list[dict[str, str]] = []
-        for fam in families(
-                {n: self.reps(ob) for n, ob in cone.nodes.items()},
-                [(e.src, e.tgt, lambda x, p=e.path: self.try_eval(p, x))
-                 for e in cone.edges]):
-            if len(out) >= _MAX_ELEMENTS:
-                raise ChaseDiverged(
-                    "cone family enumeration exceeded the chase budget")
-            out.append(fam)
-        return out
 
     def _create_family(self, cone: Cone, values: dict[str, str]) -> None:
         """Realise a family extending ``values`` (the projected nodes)."""

@@ -7,7 +7,7 @@ deterministic element orders so downstream serializations are byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,167 @@ def family_name(nodes: Iterable[str], family: dict[str, str]) -> str:
     return "(" + ",".join(f"{n}={family[n]}" for n in sorted(nodes)) + ")"
 
 
+_Op = tuple[int, int, int, bool]
+
+
+class JoinPlan(NamedTuple):
+    """The static shape of a family join, worked out from nodes and edges alone.
+
+    ``nodes`` fixes the order of the values in each family the kernel yields.
+    ``seeded`` are the nodes the caller assigns before the first pick and
+    ``start`` the ops they trigger.  Each step ``(pick, via, ops)`` assigns
+    one more node: from all of its candidates when ``via`` is None, else
+    from the preimage bucket of edge ``via[0]``, which leads to the assigned
+    node ``via[1]``.  Its ops are the edges whose source that assignment
+    completes, each ``(edge, src, tgt, fills)``: an op that fills sets the
+    unassigned target to the edge's value; any other checks the target.
+    Every edge is an op of ``start`` or of one step, or one step's ``via``.
+    """
+
+    nodes: tuple[str, ...]
+    seeded: tuple[int, ...]
+    start: tuple[_Op, ...]
+    steps: tuple[tuple[int, tuple[int, int] | None, tuple[_Op, ...]], ...]
+
+
+def plan_join(nodes: Sequence[str], edges: Sequence[tuple[str, str]],
+              seeded: Sequence[str] = ()) -> JoinPlan:
+    """Plan the join of the diagram with these nodes and ``(src, tgt)`` edges.
+
+    Picks go highest out-degree first, ties by name, so that each pick's
+    edges fill or rule out as much as they can early.  A pick takes its
+    candidates from the bucket of its first edge (in edge order) into an
+    assigned node, if it has one.
+    """
+    index = {n: i for i, n in enumerate(nodes)}
+    ends = [(index[s], index[t]) for s, t in edges]
+    out_deg = [0] * len(nodes)
+    for s, _ in ends:
+        out_deg[s] += 1
+    assigned = {index[n] for n in seeded}
+    pending = list(range(len(ends)))
+
+    def new_ops() -> tuple[_Op, ...]:
+        """Evaluate each pending edge whose source is assigned, filling
+        its target or checking it, until no pending edge has one."""
+        ops: list[_Op] = []
+        while True:
+            e = next((e for e in pending if ends[e][0] in assigned), None)
+            if e is None:
+                return tuple(ops)
+            pending.remove(e)
+            s, t = ends[e]
+            ops.append((e, s, t, t not in assigned))
+            assigned.add(t)
+
+    start = new_ops()
+    steps = []
+    for pick in sorted(range(len(nodes)), key=lambda i: (-out_deg[i], nodes[i])):
+        if pick in assigned:
+            continue
+        via = next((e for e in pending
+                    if ends[e][0] == pick and ends[e][1] in assigned), None)
+        if via is not None:
+            pending.remove(via)
+        assigned.add(pick)
+        steps.append((pick, None if via is None else (via, ends[via][1]), new_ops()))
+    return JoinPlan(tuple(nodes), tuple(index[n] for n in seeded), start, tuple(steps))
+
+
+def join(
+    plan: JoinPlan,
+    candidates: Sequence[Sequence[str]],
+    lookups: Sequence[Callable[[str], str | None]],
+    seed: Sequence[str] = (),
+    buckets: dict[int, dict[str, list[str]]] | None = None,
+) -> Iterator[tuple[str, ...]]:
+    """Run ``plan``: yield every compatible family as a tuple over ``plan.nodes``.
+
+    ``candidates`` and ``lookups`` are indexed like the plan's nodes and
+    edges; a lookup returning None (undefined) rules the family out.
+    ``seed`` gives the seeded nodes their values, which are not checked
+    against their candidates.  ``buckets`` caches each via edge's preimage
+    buckets; a caller that runs one plan on unchanged candidates and
+    lookups may pass the same dict to every run.
+
+    The steps walk one assignment list, depth first: a value assigned at
+    one depth stays until that depth assigns again.
+    """
+    val: list = [None] * len(plan.nodes)
+    for i, v in zip(plan.seeded, seed):
+        val[i] = v
+    for e, s, t, fills in plan.start:
+        w = lookups[e](val[s])
+        if w is None or not fills and w != val[t]:
+            return
+        val[t] = w
+    if not plan.steps:
+        yield tuple(val)
+        return
+    if buckets is None:
+        buckets = {}
+
+    def source(k: int) -> Sequence[str]:
+        """The candidates of step ``k``'s pick, given the values so far."""
+        pick, via, _ = plan.steps[k]
+        if via is None:
+            return candidates[pick]
+        e, t = via
+        bucket = buckets.get(e)
+        if bucket is None:
+            bucket = buckets[e] = {}
+            f = lookups[e]
+            for v in candidates[pick]:
+                w = f(v)
+                if w is not None:
+                    bucket.setdefault(w, []).append(v)
+        return bucket.get(val[t], ())
+
+    steps = [(pick, [(lookups[e], s, t, fills) for e, s, t, fills in ops])
+             for pick, _, ops in plan.steps]
+    last = len(steps) - 1
+    its: list = [iter(source(0))] + [None] * last
+    depth = 0
+    while depth >= 0:
+        pick, ops = steps[depth]
+        for v in its[depth]:
+            val[pick] = v
+            for f, s, t, fills in ops:
+                w = f(val[s])
+                if w is None or not fills and w != val[t]:
+                    break
+                val[t] = w
+            else:
+                # The values so far pass: a family at the last step, else
+                # go one step deeper.
+                if depth == last:
+                    yield tuple(val)
+                    continue
+                break
+        else:
+            depth -= 1  # this step's candidates are used up
+            continue
+        depth += 1
+        its[depth] = iter(source(depth))
+
+
+def compose_partial(
+    steps: Sequence[Callable[[str], str | None]],
+) -> Callable[[str], str | None]:
+    """The partial function that applies ``steps`` in turn, undefined where
+    one of them is; the identity when there are none."""
+    if len(steps) == 1:
+        return steps[0]
+
+    def composite(x: str | None) -> str | None:
+        for f in steps:
+            x = f(x)
+            if x is None:
+                return None
+        return x
+    return composite
+
+
 def families(
     nodes: dict[str, Sequence[str]],
     edges: Sequence[tuple[str, str, Callable[[str], str | None]]],
@@ -104,63 +265,17 @@ def families(
     """Every edge-compatible family of a finite diagram, as node -> value dicts.
 
     ``nodes`` gives each node its candidate values; an edge ``(src, tgt, f)``
-    asks ``f(family[src]) == family[tgt]``, and ``f`` returning None (undefined)
-    rules the family out.  Nodes reached along an edge from an assigned node
-    are filled by evaluation; the rest are enumerated, highest out-degree
-    first so that propagation prunes early.  A node whose edge leads to an
-    assigned node takes its candidates from that edge's preimage bucket of
-    the assigned value, the subsequence of its candidates the edge maps
-    there, instead of scanning them all.  The order of the families is a
-    function of the candidate orders alone.
+    asks ``f(family[src]) == family[tgt]``, and ``f`` returning None
+    (undefined) rules the family out.  The diagram is planned by
+    :func:`plan_join` and run by the kernel :func:`join`.  The families come
+    out in a fixed order, a function of the candidate orders alone: that of
+    a depth-first search over the plan's picks, each trying its candidates
+    (or its bucket, a subsequence of them) in their given order.
     """
-    out_deg = {n: 0 for n in nodes}
-    for s, _, _ in edges:
-        out_deg[s] += 1
-    order = sorted(nodes, key=lambda n: (-out_deg[n], n))
-    buckets: dict[int, dict[str, list[str]]] = {}
-
-    def candidates(pick: str, assign: dict[str, str]) -> Sequence[str]:
-        for i, (s, t, f) in enumerate(edges):
-            if s == pick and t in assign:
-                bucket = buckets.get(i)
-                if bucket is None:
-                    bucket = buckets[i] = {}
-                    for v in nodes[s]:
-                        w = f(v)
-                        if w is not None:
-                            bucket.setdefault(w, []).append(v)
-                return bucket.get(assign[t], ())
-        return nodes[pick]
-
-    def propagate(assign: dict[str, str]) -> bool:
-        work = True
-        while work:
-            work = False
-            for s, t, f in edges:
-                if s not in assign:
-                    continue
-                v = f(assign[s])
-                if v is None:
-                    return False
-                if t in assign:
-                    if assign[t] != v:
-                        return False
-                else:
-                    assign[t] = v
-                    work = True
-        return True
-
-    def search(assign: dict[str, str]) -> Iterator[dict[str, str]]:
-        if not propagate(assign):
-            return
-        pick = next((n for n in order if n not in assign), None)
-        if pick is None:
-            yield assign
-            return
-        for v in candidates(pick, assign):
-            yield from search({**assign, pick: v})
-
-    return search({})
+    names = tuple(nodes)
+    plan = plan_join(names, [(s, t) for s, t, _ in edges])
+    return (dict(zip(names, fam)) for fam in
+            join(plan, [nodes[n] for n in names], [f for _, _, f in edges]))
 
 
 def limit(diagram: FinDiagram) -> tuple[FinSet, dict[str, FinFunction]]:

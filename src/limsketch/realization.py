@@ -6,7 +6,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .finset import FinFunction, FinSet, families, identity, is_bijection
+from .finset import (
+    FinFunction,
+    FinSet,
+    compose_partial,
+    identity,
+    is_bijection,
+    join,
+    plan_join,
+)
 from .localizer import SketchMorphism, check_sketch_morphism
 from .sketch import Cone, Sketch, ValidationReport, Violation
 
@@ -51,19 +59,11 @@ def _follow(R: Realization, path: tuple[str, ...], x: str) -> str:
     return x
 
 
-def base_families(
-    R: Realization, cone: Cone, pinned: dict[str, str] | None = None
-) -> Iterator[dict[str, str]]:
-    """Every compatible family of the realized base, as node -> element dicts.
-
-    ``pinned`` narrows each node it names to that one element.
-    """
-    nodes = {n: R.carrier[ob].elements for n, ob in cone.nodes.items()}
-    for n, x in (pinned or {}).items():
-        nodes[n] = (x,) if x in R.carrier[cone.nodes[n]] else ()
-    return families(
-        nodes,
-        [(e.src, e.tgt, lambda x, p=e.path: _follow(R, p, x)) for e in cone.edges])
+def _base_order(cone: Cone) -> list[str]:
+    """The base nodes, projected ones first, each part sorted: the order of
+    a family tuple, whose restriction is then its prefix."""
+    keys = sorted(cone.projections)
+    return keys + sorted(set(cone.nodes) - set(keys))
 
 
 def _apex_tuples(R: Realization, cone: Cone) -> Iterator[tuple[str, tuple[str, ...]]]:
@@ -84,20 +84,31 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     """
     where = f"cone {cone.name}"
     keys = sorted(cone.projections)
+    nodes = _base_order(cone)
+    edges = [(e.src, e.tgt) for e in cone.edges]
+    candidates = [R.carrier[cone.nodes[n]].elements for n in nodes]
+    lookups = [compose_partial([R.action[a].mapping.get for a in e.path])
+               for e in cone.edges]
     apex = list(_apex_tuples(R, cone))
     limit = len({t for _, t in apex})
     counts: dict[tuple[str, ...], int] = {}
     complete = True
-    for fam in base_families(R, cone):
-        t = tuple(fam[n] for n in keys)
+    for fam in join(plan_join(nodes, edges), candidates, lookups):
+        t = fam[:len(keys)]
         counts[t] = counts.get(t, 0) + 1
         if len(counts) > limit:
             complete = False
             break
+    # Once counts are partial, an apex tuple not among them is looked up
+    # by one plan seeded at the projected nodes, with shared buckets.
+    pinned_plan = plan_join(nodes, edges, keys)
+    buckets: dict[int, dict[str, list[str]]] = {}
+    carriers = [R.carrier[cone.nodes[n]] for n in keys]
 
     def pinned(t: tuple[str, ...]) -> bool:
-        """Whether some family restricts to ``t``, once counts are partial."""
-        return next(base_families(R, cone, dict(zip(keys, t))), None) is not None
+        """Whether some family restricts to ``t``."""
+        return all(x in c for x, c in zip(t, carriers)) and next(
+            join(pinned_plan, candidates, lookups, t, buckets), None) is not None
 
     seen: dict[tuple[str, ...], str] = {}
     for x, t in apex:

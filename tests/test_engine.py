@@ -5,9 +5,10 @@ from importlib import resources
 
 import pytest
 
-from limsketch import dsl
+from limsketch import dsl, engine
 from limsketch.engine import (
     ChaseConfig,
+    ChaseDiverged,
     Fraction,
     apply_rule,
     check_fraction,
@@ -216,6 +217,17 @@ def test_saturate_zero_rounds_only_repairs():
     assert [r.round for r in res.trace.rounds] == [0]
     assert len(res.result.carrier["For"].elements) == 3
     assert res.result == mp_basic()
+
+
+def test_cone_family_budget_stops_the_chase(monkeypatch):
+    # Ten formulas make 20 elements (with their C_IM images) before the
+    # For x For cone meets 100 families, past a budget of 50.
+    monkeypatch.setattr(engine, "_MAX_ELEMENTS", 50)
+    elems = " ".join(f"elem f{i} : For" for i in range(10))
+    [spec] = dsl.parse(f"spec s over mp_sp {{ {elems} }}", {"mp_sp": SP})
+    with pytest.raises(ChaseDiverged,
+                       match="^cone family enumeration exceeded the chase budget$"):
+        saturate(spec.realization, RULES)
 
 
 def test_saturate_chained_modus_ponens():
