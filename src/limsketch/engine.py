@@ -364,8 +364,9 @@ class _Chase:
 
     def _repair_totality(self, aid: str) -> None:
         decl = self.sk.arrows[aid]
+        table = self.act[aid]
         for x in self.reps(decl.src):
-            if self.get(aid, x) is None:
+            if x not in table:
                 self.write(aid, x, self.fresh(decl.tgt))
 
     def _lookup(self, aid: str) -> Callable[[str], str | None]:
@@ -534,7 +535,7 @@ class _Chase:
 
 def _state_of(spec: Realization) -> _Chase:
     carriers = {ob: spec.carrier[ob].elements for ob in spec.over.objects}
-    actions = {a: dict(spec.action[a].mapping) for a in spec.over.arrows}
+    actions = {a: spec.action[a].mapping for a in spec.over.arrows}
     st = _Chase(spec.over, carriers, actions)
     if spec._repaired:
         st.clean_at = {(kind, i): st.clock for kind, units in st.units.items()

@@ -274,108 +274,64 @@ def restrict_along(sigma: SketchMorphism, R: Realization) -> Realization:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_plan(sk: Sketch) -> tuple[list[str], list[tuple[str, Cone]]]:
-    # one cone per apex is enough to pin the component; naturality checks the rest
+# Refuse a morphism search that would try more component assignments.
+_SEARCH_GUARD = 10**6
+
+
+def _free_objects(sk: Sketch) -> list[str]:
+    """The objects whose components a morphism search enumerates.
+
+    One cone per apex (the first by name) pins the apex component once the
+    objects it projects to are pinned, so the free objects are the
+    non-apexes and the apexes whose cones depend on each other in a cycle.
+    """
     apex_cone: dict[str, Cone] = {}
     for name in sorted(sk.cones):
         apex_cone.setdefault(sk.cones[name].apex, sk.cones[name])
-    free = [ob for ob in sk.objects if ob not in apex_cone]
-    assigned = set(free)
-    order: list[tuple[str, Cone]] = []
-    pending = dict(apex_cone)
-    while pending:
-        ready = [
-            apex
-            for apex in sorted(pending)
-            if {pending[apex].nodes[n] for n in pending[apex].projections} <= assigned
-        ]
+    free = {ob for ob in sk.objects if ob not in apex_cone}
+    pinned = set(free)
+    while True:
+        ready = {apex for apex, cone in apex_cone.items() if apex not in pinned
+                 and {cone.nodes[n] for n in cone.projections} <= pinned}
         if not ready:
-            free.extend(sorted(pending))  # cyclically dependent apexes: brute force
-            break
-        for apex in ready:
-            order.append((apex, pending.pop(apex)))
-            assigned.add(apex)
-    return sorted(free), order
+            return sorted(free | (apex_cone.keys() - pinned))
+        pinned |= ready
 
 
-def _cone_index(R: Realization, cone: Cone) -> dict[tuple[str, ...], str]:
-    index: dict[tuple[str, ...], str] = {}
-    for y, t in _apex_tuples(R, cone):
-        index.setdefault(t, y)
-    return index
-
-
-def _iter_morphisms(R1: Realization, R2: Realization, guard: int) -> Iterator[RealMorphism]:
+def _iter_morphisms(R1: Realization, R2: Realization) -> Iterator[RealMorphism]:
     if R1.over != R2.over:
         raise ValueError("realizations are over different sketches")
-    sk = R1.over
-    free, order = _derivation_plan(sk)
+    free = _free_objects(R1.over)
     space = 1
     for ob in free:
         space *= len(R2.carrier[ob]) ** len(R1.carrier[ob])
-        if space > guard:
-            raise ValueError(f"search space exceeds {guard} candidates")
-    if space == 0:
-        return
-    indexes = {apex: _cone_index(R2, cone) for apex, cone in order}
+        if space > _SEARCH_GUARD:
+            raise ValueError(f"search space exceeds {_SEARCH_GUARD} candidates")
     pools = []
     for ob in free:
         dom = R1.carrier[ob].elements
         pools.append(
             [dict(zip(dom, values)) for values in itertools.product(R2.carrier[ob].elements, repeat=len(dom))]
         )
-    for picks in itertools.product(*pools):
-        mapping = {ob: dict(m) for ob, m in zip(free, picks)}
-        if not _derive_apexes(R1, mapping, order, indexes):
-            continue
-        components = {
-            ob: FinFunction(R1.carrier[ob], R2.carrier[ob], mapping[ob]) for ob in sk.objects
-        }
-        candidate = RealMorphism(R1, R2, components)
-        if _natural(candidate):
-            yield candidate
+    seeds = (dict(zip(free, picks)) for picks in itertools.product(*pools))
+    return (phi for phi in _extensions(R1, R2, seeds) if phi is not None)
 
 
-def _derive_apexes(
-    R1: Realization,
-    mapping: dict[str, dict[str, str]],
-    order: list[tuple[str, Cone]],
-    indexes: dict[str, dict[tuple[str, ...], str]],
-) -> bool:
-    for apex, cone in order:
-        keys = sorted(cone.projections)
-        comp: dict[str, str] = {}
-        for x in R1.carrier[apex]:
-            t = tuple(
-                mapping[cone.nodes[n]][R1.action[cone.projections[n]](x)] for n in keys
-            )
-            y = indexes[apex].get(t)
-            if y is None:
-                return False
-            comp[x] = y
-        mapping[apex] = comp
-    return True
-
-
-def _natural(phi: RealMorphism) -> bool:
-    return next(_failing_squares(phi), None) is None
-
-
-def enumerate_morphisms(R1: Realization, R2: Realization, guard: int = 10**6) -> list[RealMorphism]:
+def enumerate_morphisms(R1: Realization, R2: Realization) -> list[RealMorphism]:
     """All natural transformations R1 -> R2, in a fixed deterministic order.
 
-    Components are enumerated only at objects that are not cone apexes;
-    apex components are forced through the target's comparison bijections.
-    The guard bounds the enumerated function-space product.
+    Components are enumerated only at the free objects (see
+    ``_free_objects``); forced extension pins the rest of each candidate.
+    A search of more than ``_SEARCH_GUARD`` candidates raises ValueError.
     """
-    return list(_iter_morphisms(R1, R2, guard))
+    return list(_iter_morphisms(R1, R2))
 
 
-def is_isomorphic(R1: Realization, R2: Realization, guard: int = 10**6) -> RealMorphism | None:
+def is_isomorphic(R1: Realization, R2: Realization) -> RealMorphism | None:
     """First componentwise-bijective morphism in enumeration order, if any."""
     if any(len(R1.carrier[ob]) != len(R2.carrier[ob]) for ob in R1.over.objects):
         return None
-    for phi in _iter_morphisms(R1, R2, guard):
+    for phi in _iter_morphisms(R1, R2):
         if all(is_bijection(fn) for fn in phi.components.values()):
             return phi
     return None
@@ -396,6 +352,17 @@ def extend_morphism(
     fails to determine every component.
     """
     return next(_extensions(src, tgt, [seed]))
+
+
+def _cone_index(R: Realization, cone: Cone) -> dict[tuple[str, ...], str]:
+    index: dict[tuple[str, ...], str] = {}
+    for y, t in _apex_tuples(R, cone):
+        index.setdefault(t, y)
+    return index
+
+
+def _natural(phi: RealMorphism) -> bool:
+    return next(_failing_squares(phi), None) is None
 
 
 def _extensions(

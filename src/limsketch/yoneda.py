@@ -9,14 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import ChaseConfig, ChaseDiverged, _Chase, saturate
+from .engine import ChaseDiverged, _Chase, saturate
+from .finset import is_bijection
 from .localizer import paths_equivalent
-from .realization import (
-    RealMorphism,
-    Realization,
-    extend_morphism,
-    is_isomorphic,
-)
+from .realization import RealMorphism, Realization, extend_morphism
 from .sketch import Sketch, ValidationReport, Violation
 
 
@@ -99,23 +95,22 @@ def faithfulness_check(sk: Sketch) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def density_check(sk: Sketch, spec: Realization,
-                  guard: int = 10 ** 6) -> ValidationReport:
-    """Rebuild ``spec`` from its own elements and compare.
+def density_check(sk: Sketch, spec: Realization) -> ValidationReport:
+    """Compare ``spec`` with the colimit of its own elements.
 
     Every element of the specification is taken as a generator and every
-    recorded action as a relation; cone repair closes the presentation.
-    For a valid specification the rebuilt colimit must be isomorphic to
-    the original, which is the desk-scale content of density.
+    recorded action as a relation; the chase with no rules closes that
+    presentation, and its embedding is the canonical comparison map from
+    the specification to the colimit.  Density asks for that map to be an
+    isomorphism, which holds exactly when every component is a bijection.
     """
-    total = sum(len(spec.carrier[ob].elements) for ob in sk.objects)
-    if total > guard:
-        raise ValueError(f"specification exceeds the density guard ({guard})")
-    rebuilt = saturate(spec, [], ChaseConfig()).result
-    iso = is_isomorphic(rebuilt, spec, guard)
-    if iso is None:
-        return ValidationReport((Violation(
-            "density-failed", spec.over.name,
-            "the colimit of the element presentation is not isomorphic to "
-            "the specification"),))
-    return ValidationReport(())
+    if spec.over != sk:
+        raise ValueError(f"specification is over sketch {spec.over.name}, "
+                         f"not over sketch {sk.name}")
+    run = saturate(spec, [])
+    if all(is_bijection(fn) for fn in run.embedding.components.values()):
+        return ValidationReport(())
+    return ValidationReport((Violation(
+        "density-failed", sk.name,
+        "the comparison map from the specification to the colimit of its "
+        "element presentation is not an isomorphism"),))

@@ -456,6 +456,94 @@ def test_text_and_json_reject_mutated_specs_alike(kind):
                 [i.message for i in from_text.value.issues]
 
 
+def corpus_decls(kind):
+    """Each declaration of ``kind`` in the corpus, with the sketches of its
+    file."""
+    out = []
+    for name in ("bank.sk", "graph.sk", "magma.sk", "mp.sk"):
+        decls = dsl.parse_path(resources.files("limsketch") / "corpus" / name)
+        env = {d.name: d for d in decls if isinstance(d, Sketch)}
+        out += [(d, env) for d in decls if isinstance(d, kind)]
+    return out
+
+
+def with_repeated_key(doc, key, items):
+    """``doc`` as JSON text with the dict ``doc[key]`` written as
+    ``items``, which may repeat a key."""
+    doc[key] = "@items@"
+    table = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items)
+    return json.dumps(doc).replace('"@items@"', f"{{{table}}}")
+
+
+def mutated_decl_forms(decl, kind: str, rng: random.Random):
+    """The same mutation of a sketch's or a morphism's text and JSON form."""
+    lines = dsl.serialize(decl).splitlines(keepends=True)
+    doc = json.loads(dsl.serialize_json(decl))
+    if kind == "drop equation arrow":
+        eq = rng.choice(decl.equations)
+        aid = rng.choice(eq.lhs + eq.rhs)
+        lines = [ln for ln in lines if not ln.startswith(f"  arrow {aid} :")]
+        doc["arrows"] = [a for a in doc["arrows"] if a["id"] != aid]
+        doc["monos"] = [m for m in doc["monos"] if m != aid]
+    elif kind == "undeclared projection node":
+        cone = rng.choice(sorted(decl.cones))
+        aid = rng.choice(sorted(decl.arrows))
+        start = lines.index(f"  cone {cone} : {decl.cones[cone].apex} {{\n")
+        lines.insert(lines.index("  }\n", start), f"      zz -> {aid}\n")
+        next(c for c in doc["cones"]
+             if c["name"] == cone)["projections"]["zz"] = aid
+    elif kind == "object mapped twice":
+        sigma = decl.morphism
+        ob = rng.choice(sorted(sigma.object_map))
+        again = rng.choice(sigma.tgt.objects)
+        line = lines.index(f"  obj {ob} => {sigma.object_map[ob]}\n")
+        lines.insert(line + 1, f"  obj {ob} => {again}\n")
+        items = []
+        for a, b in doc["objects"].items():
+            items += [(a, b), (a, again)] if a == ob else [(a, b)]
+        return "".join(lines), with_repeated_key(doc, "objects", items)
+    else:  # an arrow image of another type
+        sigma = decl.morphism
+        aid = rng.choice(sorted(sigma.arrow_map))
+        image = rng.choice(sorted(sigma.tgt.arrows))
+        lines = [f"  arr {aid} => {image}\n"
+                 if ln.startswith(f"  arr {aid} => ") else ln for ln in lines]
+        doc["arrows"][aid] = [image]
+    return "".join(lines), doc
+
+
+def outcome(load, source, env):
+    """The declarations ``load`` reads, or its issue messages."""
+    try:
+        return load(source, env)
+    except dsl.ParseError as exc:
+        return [re.sub(r"^declaration \d+: ", "", i.message)
+                for i in exc.issues]
+
+
+@pytest.mark.parametrize("kind, decl_kind, needs, rejected", [
+    ("drop equation arrow", Sketch, "equations", True),
+    ("undeclared projection node", Sketch, "cones", True),
+    ("object mapped twice", dsl.NamedMorphism, "morphism", True),
+    ("wrongly typed arrow image", dsl.NamedMorphism, "morphism", False),
+])
+def test_text_and_json_read_mutated_sketches_and_morphisms_alike(
+        kind, decl_kind, needs, rejected):
+    """Both formats read the same declarations or report the same issues;
+    ``needs`` names what a declaration must have for the mutation."""
+    rng = random.Random(kind)
+    decls = [(d, env) for d, env in corpus_decls(decl_kind)
+             if getattr(d, needs)]
+    assert decls
+    for decl, env in decls:
+        for _ in range(3):
+            text, doc = mutated_decl_forms(decl, kind, rng)
+            from_text = outcome(dsl.parse, text, env)
+            assert outcome(dsl.parse_json, doc, env) == from_text
+            if rejected:
+                assert all(isinstance(m, str) for m in from_text)
+
+
 @pytest.mark.parametrize("text, doc", [
     ("morphism m : graph -> graph { obj V => V obj V => E }",
      '{"kind": "morphism", "name": "m", "src": "graph", "tgt": "graph",'

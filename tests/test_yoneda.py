@@ -1,9 +1,19 @@
 """Representables and the desk-scale embedding checks."""
 
+import random
+from importlib import resources
+
 import pytest
 
+from limsketch import dsl
+from limsketch.finset import FinFunction, finset
 from limsketch.localizer import break_cycles
-from limsketch.realization import check_morphism, check_realization
+from limsketch.realization import (
+    Realization,
+    check_morphism,
+    check_realization,
+    is_isomorphic,
+)
 from limsketch.sketch import (
     ArrowDecl,
     Cone,
@@ -163,3 +173,43 @@ def test_density_of_corpus_specs():
 def test_density_of_a_representable():
     rep = representable(SP, "H_IM")
     assert density_check(SP, rep.spec).ok
+
+
+def without(spec, ob, x):
+    """``spec`` with the element ``x`` of ``ob`` removed; nothing may map
+    to it."""
+    carrier = dict(spec.carrier, **{ob: finset(
+        y for y in spec.carrier[ob] if y != x)})
+    action = {aid: FinFunction(carrier[d.src], carrier[d.tgt], {
+        y: v for y, v in spec.action[aid].mapping.items() if y in
+        carrier[d.src]}) for aid, d in spec.over.arrows.items()}
+    return Realization(spec.over, carrier, action)
+
+
+def test_density_fails_on_a_non_model():
+    from test_engine import mp_basic
+
+    spec = without(mp_basic(), "H_IM", "q_q")
+    assert [v.code for v in check_realization(spec).violations] == [
+        "cone-comparison-not-surjective"]
+    report = density_check(SP, spec)
+    assert [v.code for v in report.violations] == ["density-failed"]
+
+
+def test_density_past_the_old_search_guard():
+    from test_acceptance import tabled_spec
+
+    # |For| = 8 alone gives 8^8 > 10^6 candidate maps to a search
+    spec = tabled_spec(random.Random(1105), 8)
+    assert check_realization(spec).ok
+    with pytest.raises(ValueError, match="search space exceeds"):
+        is_isomorphic(spec, spec)
+    assert density_check(SP, spec).ok
+
+
+def test_density_needs_the_specs_own_sketch():
+    and_table = next(d for d in dsl.parse_path(
+        resources.files("limsketch") / "corpus" / "magma.sk")
+        if isinstance(d, dsl.NamedSpec)).realization
+    with pytest.raises(ValueError, match="not over sketch graph"):
+        density_check(GRAPH, and_table)
