@@ -18,6 +18,7 @@ from .finset import (
     FinSet,
     UnionFind,
     compose_partial,
+    identity,
     is_bijection,
     join,
     plan_join,
@@ -177,13 +178,19 @@ class _Chase:
     over between states: a realization extracted while every unit is clean
     is marked repaired, and a state built from a marked one starts with
     every unit clean.
+
+    Seeding is not a change: the clock and every stamp start at 0.  A state
+    seeded from a realization, its ``base``, shares with it each carrier
+    and action still as seeded.
     """
 
     def __init__(self, sk: Sketch, carriers: dict[str, tuple[str, ...]],
                  actions: dict[str, dict[str, str]]):
         self.sk = sk
-        self.uf: dict[str, UnionFind] = {ob: UnionFind() for ob in sk.objects}
+        self.base: Realization | None = None
+        self.uf = {ob: UnionFind(carriers.get(ob, ())) for ob in sk.objects}
         self.created = 0
+        self._count(sum(len(uf.parent) for uf in self.uf.values()))
         self.fresh_counter = 0
         self.clock = 0
         self.ob_stamp = dict.fromkeys(sk.objects, 0)
@@ -193,27 +200,26 @@ class _Chase:
         self.out_arrows: dict[str, list[str]] = {ob: [] for ob in sk.objects}
         for aid in sorted(sk.arrows):
             self.out_arrows[sk.arrows[aid].src].append(aid)
-        for ob in sk.objects:
-            for x in carriers.get(ob, ()):
-                self._register(ob, x)
         self.act: dict[str, dict[str, str]] = {
             a: dict(actions.get(a, {})) for a in sk.arrows
         }
-        self.lookup = {a: self._lookup(a) for a in sk.arrows}
-        self.joins = {name: self._cone_join(c) for name, c in sk.cones.items()}
+        self.joins: dict[str, tuple] = {}
         self.pending: deque[tuple[str, str, str]] = deque()
         self.round_added: dict[str, list[str]] = {ob: [] for ob in sk.objects}
         self.round_identified: list[tuple[str, str, str]] = []
 
     # -- elements ---------------------------------------------------------
 
-    def _register(self, ob: str, name: str) -> None:
-        if self.created >= _MAX_ELEMENTS:
+    def _count(self, n: int) -> None:
+        if self.created + n > _MAX_ELEMENTS:
             raise ChaseDiverged(
                 "chase element budget exceeded; the sketch likely has an "
                 "unbroken productive cycle")
+        self.created += n
+
+    def _register(self, ob: str, name: str) -> None:
+        self._count(1)
         self.uf[ob].add(name)
-        self.created += 1
         self._touch_object(ob)
 
     def _touch_object(self, ob: str) -> None:
@@ -387,12 +393,14 @@ class _Chase:
         keys = nodes[:len(cone.projections)]
         return (plan_join(nodes, [(e.src, e.tgt) for e in cone.edges]),
                 [cone.nodes[n] for n in nodes],
-                [compose_partial([self.lookup[a] for a in e.path])
+                [compose_partial([self._lookup(a) for a in e.path])
                  for e in cone.edges],
-                [self.lookup[cone.projections[n]] for n in keys],
+                [self._lookup(cone.projections[n]) for n in keys],
                 [(nodes.index(n), cone.nodes[n]) for n in sorted(cone.nodes)])
 
     def _repair_cone(self, cone: Cone) -> None:
+        if cone.name not in self.joins:
+            self.joins[cone.name] = self._cone_join(cone)
         plan, objects, lookups, projections, merge = self.joins[cone.name]
         # Projection tuples of apex elements whose projections all exist,
         # read a column per projection; without projections every tuple
@@ -508,9 +516,18 @@ class _Chase:
         return added, identified
 
     def realization(self) -> Realization:
-        carrier = {ob: FinSet(tuple(self.reps(ob))) for ob in self.sk.objects}
+        """The state as a realization; an object, or an arrow with its
+        source and target (a merge there changes its values), still at
+        stamp 0 keeps the base's carrier or action."""
+        base, ob_stamp = self.base, self.ob_stamp
+        carrier = {ob: base.carrier[ob] if base and not ob_stamp[ob]
+                   else FinSet(tuple(self.reps(ob))) for ob in self.sk.objects}
         action = {}
         for aid, decl in self.sk.arrows.items():
+            if base and not (self.arrow_stamp[aid] or ob_stamp[decl.src]
+                             or ob_stamp[decl.tgt]):
+                action[aid] = base.action[aid]
+                continue
             mapping = {x: self.get(aid, x) for x in carrier[decl.src].elements}
             action[aid] = FinFunction(carrier[decl.src], carrier[decl.tgt],
                                       mapping)
@@ -523,20 +540,32 @@ class _Chase:
         return result
 
     def leg(self, src: Realization, result: Realization,
-            name=lambda ob, x: x) -> RealMorphism:
+            *steps: dict[str, dict[str, str]]) -> RealMorphism:
         """The morphism into ``result`` (this state's realization) sending
-        ``x`` at ``ob`` to the class of ``name(ob, x)``."""
-        return RealMorphism(src, result, {
-            ob: FinFunction(src.carrier[ob], result.carrier[ob],
-                            {x: self.uf[ob].find(name(ob, x))
-                             for x in src.carrier[ob].elements})
-            for ob in self.sk.objects})
+        ``x`` at ``ob`` to the class of its image under ``steps[ob]`` for
+        each of ``steps`` in turn.  Where ``result`` shares the carrier of
+        ``src`` (so the chase left the object as it was) and every step is
+        that carrier's identity, the component is that identity itself."""
+        out = {}
+        for ob in self.sk.objects:
+            d = src.carrier[ob]
+            if result.carrier[ob] is d and all(
+                    s[ob] is identity(d).mapping for s in steps):
+                out[ob] = identity(d)
+                continue
+            names = d.elements
+            for s in steps:
+                names = map(s[ob].__getitem__, names)
+            out[ob] = FinFunction(d, result.carrier[ob], dict(
+                zip(d.elements, map(self.uf[ob].find, names))))
+        return RealMorphism(src, result, out)
 
 
 def _state_of(spec: Realization) -> _Chase:
     carriers = {ob: spec.carrier[ob].elements for ob in spec.over.objects}
     actions = {a: spec.action[a].mapping for a in spec.over.arrows}
     st = _Chase(spec.over, carriers, actions)
+    st.base = spec
     if spec._repaired:
         st.clean_at = {(kind, i): st.clock for kind, units in st.units.items()
                        for i in range(len(units))}
@@ -662,10 +691,20 @@ def _glue_state(left: Realization, right: Realization,
     in ``right``, and every other one joins under its own name, primed
     until the name is free.  Returns the repaired state and the names of
     ``left``'s elements in it.
+
+    An object whose carrier both sides share, with identity legs, glues
+    nothing, nor does an arrow both sides share between two such objects.
     """
     st = _state_of(right)
     names: dict[str, dict[str, str]] = {}
+    shared = set()
     for ob in st.sk.objects:
+        d = right.carrier[ob]
+        if left.carrier[ob] is d and \
+                left_leg[ob] is right_leg[ob] is identity(d):
+            names[ob] = identity(d).mapping
+            shared.add(ob)
+            continue
         names[ob] = own = {}
         for a, x in left_leg[ob].mapping.items():
             y = right_leg[ob](a)
@@ -679,6 +718,9 @@ def _glue_state(left: Realization, right: Realization,
                 st._register(ob, name)
                 own[x] = name
     for aid, decl in st.sk.arrows.items():
+        if left.action[aid] is right.action[aid] and \
+                decl.src in shared and decl.tgt in shared:
+            continue
         for x, y in left.action[aid].mapping.items():
             st.put(aid, names[decl.src][x], names[decl.tgt][y])
     st.drain()
@@ -770,6 +812,10 @@ def check_fraction(frac: Fraction, rules: list[Rule],
             "fraction check failed: the induced map is not an isomorphism")
 
 
+def _maps(phi: RealMorphism) -> dict[str, dict[str, str]]:
+    return {ob: fn.mapping for ob, fn in phi.components.items()}
+
+
 def compose_fractions(f1: Fraction, f2: Fraction,
                       rules: list[Rule] | None = None,
                       cfg: ChaseConfig | None = None) -> Fraction:
@@ -785,8 +831,8 @@ def compose_fractions(f1: Fraction, f2: Fraction,
     st, second_inj = _glue_state(f2.mid, f1.mid, f2.h.components,
                                  f1.c.components)
     mid = st.realization()
-    h = st.leg(f1.src, mid, f1.h)
-    c = st.leg(f2.tgt, mid, lambda ob, x: second_inj[ob][f2.c(ob, x)])
+    h = st.leg(f1.src, mid, _maps(f1.h))
+    c = st.leg(f2.tgt, mid, _maps(f2.c), second_inj)
     certificate = "by-construction"
     if not (f1.certificate == "by-construction"
             and f2.certificate == "by-construction"):

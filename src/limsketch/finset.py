@@ -6,6 +6,7 @@ deterministic element orders so downstream serializations are byte-stable.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -29,6 +30,10 @@ class FinSet:
 
     def __contains__(self, x: str) -> bool:
         return x in self.members
+
+    def __reduce__(self):
+        # Rebuilt from the elements: the index and weak caches are not copied.
+        return FinSet, (self.elements,)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
@@ -64,7 +69,14 @@ class FinFunction:
 
 
 def identity(s: FinSet) -> FinFunction:
-    return FinFunction(s, s, {x: x for x in s})
+    """The identity on ``s``, one per set while it lives: the set keeps a
+    weak reference to it outside its fields, as it keeps ``members``."""
+    ref = s.__dict__.get("_identity")
+    f = None if ref is None else ref()
+    if f is None:
+        f = FinFunction(s, s, dict(zip(s.elements, s.elements)))
+        object.__setattr__(s, "_identity", weakref.ref(f))
+    return f
 
 
 def compose(f: FinFunction, g: FinFunction) -> FinFunction:
@@ -303,10 +315,9 @@ class UnionFind:
     """Union-find with path halving; a union keeps the first-added root."""
 
     def __init__(self, items: Iterable[object] = ()) -> None:
-        self.parent: dict[object, object] = {}
-        self.birth: dict[object, int] = {}
-        for x in items:
-            self.add(x)
+        items = tuple(items)
+        self.parent: dict[object, object] = dict(zip(items, items))
+        self.birth: dict[object, int] = dict(zip(self.parent, range(len(self.parent))))
 
     def add(self, x: object) -> None:
         if x not in self.parent:

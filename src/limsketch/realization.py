@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -278,17 +279,20 @@ def restrict_along(sigma: SketchMorphism, R: Realization) -> Realization:
 _SEARCH_GUARD = 10**6
 
 
-def _free_objects(sk: Sketch) -> list[str]:
-    """The objects whose components a morphism search enumerates.
+def _free_objects(sk: Sketch, tgt: Realization) -> list[str]:
+    """The objects whose components a morphism search into ``tgt`` enumerates.
 
     One cone per apex (the first by name) pins the apex component once the
-    objects it projects to are pinned, so the free objects are the
-    non-apexes and the apexes whose cones depend on each other in a cycle.
+    objects it projects to are pinned, provided no two apex elements of
+    ``tgt`` share a projection tuple under it.  So the free objects are the
+    non-apexes, the apexes whose cone has such a pair in ``tgt``, and the
+    apexes whose cones depend on each other in a cycle.
     """
     apex_cone: dict[str, Cone] = {}
     for name in sorted(sk.cones):
         apex_cone.setdefault(sk.cones[name].apex, sk.cones[name])
-    free = {ob for ob in sk.objects if ob not in apex_cone}
+    free = {ob for ob in sk.objects if ob not in apex_cone or len(
+        _cone_index(tgt, apex_cone[ob])) < len(tgt.carrier[ob])}
     pinned = set(free)
     while True:
         ready = {apex for apex, cone in apex_cone.items() if apex not in pinned
@@ -301,7 +305,7 @@ def _free_objects(sk: Sketch) -> list[str]:
 def _iter_morphisms(R1: Realization, R2: Realization) -> Iterator[RealMorphism]:
     if R1.over != R2.over:
         raise ValueError("realizations are over different sketches")
-    free = _free_objects(R1.over)
+    free = _free_objects(R1.over, R2)
     space = 1
     for ob in free:
         space *= len(R2.carrier[ob]) ** len(R1.carrier[ob])
@@ -355,9 +359,19 @@ def extend_morphism(
 
 
 def _cone_index(R: Realization, cone: Cone) -> dict[tuple[str, ...], str]:
+    """The first apex element of each projection tuple, kept on the apex
+    carrier while the projections are the same (weakly held) functions."""
+    apex = R.carrier[cone.apex]
+    maps = [R.action[cone.projections[n]] for n in sorted(cone.projections)]
+    cache = apex.__dict__.setdefault("_cone_indexes", {})
+    hit = cache.get(cone.name)
+    if hit is not None and len(hit[0]) == len(maps) and all(
+            r() is f for r, f in zip(hit[0], maps)):
+        return hit[1]
     index: dict[tuple[str, ...], str] = {}
     for y, t in _apex_tuples(R, cone):
         index.setdefault(t, y)
+    cache[cone.name] = [weakref.ref(f) for f in maps], index
     return index
 
 

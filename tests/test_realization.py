@@ -401,6 +401,22 @@ def test_enumeration_over_broken_sketch_derives_apexes():
     assert len(ms) == 1
 
 
+def test_enumeration_into_a_non_model_enumerates_the_apex():
+    # The target's two M2 elements share the projection tuple (x, x), so
+    # its prod cone cannot pin the M2 component: both choices are found.
+    M, M2 = finset(["a"]), finset(["aa"])
+    R1 = Realization(MAGMA, {"M": M, "M2": M2},
+                     {a: FinFunction(M2, M, {"aa": "a"}) for a in "kst"})
+    T, T2 = finset(["x"]), finset(["p", "q"])
+    R2 = Realization(MAGMA, {"M": T, "M2": T2},
+                     {a: FinFunction(T2, T, {"p": "x", "q": "x"})
+                      for a in "kst"})
+    ms = enumerate_morphisms(R1, R2)
+    assert [phi.components["M2"].mapping for phi in ms] == \
+        [{"aa": "p"}, {"aa": "q"}]
+    assert all(check_morphism(phi).ok for phi in ms)
+
+
 def test_guard_rejects_large_spaces():
     R1 = mk_graph([f"v{i}" for i in range(8)], [], {}, {})
     R2 = mk_graph([f"w{i}" for i in range(6)], [], {}, {})
