@@ -241,7 +241,7 @@ def _match_cone(
     tgt: Cone,
 ) -> bool:
     order = sorted(nodes)
-    candidates: dict[str, list[str]] = {}
+    candidates: list[list[str]] = []
     for n in order:
         opts = []
         for n2, ob2 in tgt.nodes.items():
@@ -254,7 +254,7 @@ def _match_cone(
             opts.append(n2)
         if not opts:
             return False
-        candidates[n] = sorted(opts)
+        candidates.append(sorted(opts))
 
     tgt_edges = sorted((e.src, e.tgt, e.path) for e in tgt.edges)
 
@@ -266,22 +266,8 @@ def _match_cone(
             must.append((beta[s], beta[t], p))
         return sorted(must) == tgt_edges
 
-    def search(i: int, beta: dict[str, str], used: set[str]) -> bool:
-        if i == len(order):
-            return ok(beta)
-        n = order[i]
-        for n2 in candidates[n]:
-            if n2 in used:
-                continue
-            beta[n] = n2
-            used.add(n2)
-            if search(i + 1, beta, used):
-                return True
-            used.discard(n2)
-            del beta[n]
-        return False
-
-    return search(0, {}, set())
+    return any(ok(dict(zip(order, pick))) for pick in itertools.product(*candidates)
+               if len(set(pick)) == len(pick))
 
 
 # ---------------------------------------------------------------------------

@@ -67,13 +67,6 @@ def _base_order(cone: Cone) -> list[str]:
     return keys + sorted(set(cone.nodes) - set(keys))
 
 
-def _apex_tuples(R: Realization, cone: Cone) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """Each apex element with its projections, in sorted projection order."""
-    maps = [R.action[cone.projections[n]].mapping for n in sorted(cone.projections)]
-    for x in R.carrier[cone.apex]:
-        yield x, tuple(m[x] for m in maps)
-
-
 def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     """Compare the apex with the base families through the projections.
 
@@ -90,7 +83,8 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     candidates = [R.carrier[cone.nodes[n]].elements for n in nodes]
     lookups = [compose_partial([R.action[a].mapping.get for a in e.path])
                for e in cone.edges]
-    apex = list(_apex_tuples(R, cone))
+    maps = [R.action[cone.projections[n]].mapping for n in keys]
+    apex = [(x, tuple(m[x] for m in maps)) for x in R.carrier[cone.apex]]
     limit = len({t for _, t in apex})
     counts: dict[tuple[str, ...], int] = {}
     complete = True
@@ -227,23 +221,16 @@ def check_morphism(phi: RealMorphism) -> ValidationReport:
             out.append(Violation("component-type", ob, f"component at {ob!r} has wrong carriers"))
     if out:
         return ValidationReport(tuple(out))
-    for aid, x, top, bottom in _failing_squares(phi):
-        out.append(
-            Violation("naturality", aid, f"square for {aid!r} fails at {x!r}: {top!r} != {bottom!r}")
-        )
-    return ValidationReport(tuple(out))
-
-
-def _failing_squares(phi: RealMorphism) -> Iterator[tuple[str, str, str, str]]:
-    """Each arrow's first failing naturality square, as (arrow, x, top, bottom)."""
-    for aid, decl in phi.src.over.arrows.items():
+    for aid, decl in sk.arrows.items():
         fx, fy = phi.components[decl.src].mapping, phi.components[decl.tgt].mapping
         act1, act2 = phi.src.action[aid].mapping, phi.tgt.action[aid].mapping
         for x in phi.src.carrier[decl.src]:
             top, bottom = fy[act1[x]], act2[fx[x]]
             if top != bottom:
-                yield aid, x, top, bottom
+                out.append(Violation(
+                    "naturality", aid, f"square for {aid!r} fails at {x!r}: {top!r} != {bottom!r}"))
                 break
+    return ValidationReport(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +279,7 @@ def _free_objects(sk: Sketch, tgt: Realization) -> list[str]:
     for name in sorted(sk.cones):
         apex_cone.setdefault(sk.cones[name].apex, sk.cones[name])
     free = {ob for ob in sk.objects if ob not in apex_cone or len(
-        _cone_index(tgt, apex_cone[ob])) < len(tgt.carrier[ob])}
+        _cone_index(tgt, ob, _legs(apex_cone[ob]))) < len(tgt.carrier[ob])}
     pinned = set(free)
     while True:
         ready = {apex for apex, cone in apex_cone.items() if apex not in pinned
@@ -351,123 +338,132 @@ def extend_morphism(
 ) -> RealMorphism | None:
     """Grow a partial component assignment into a full natural transformation.
 
-    Propagates along arrow actions, mono preimages, and cone comparison
-    tuples until stable.  Returns None when the seed forces a conflict or
-    fails to determine every component.
+    Propagates along arrow actions, and lifts along monos and cones: an
+    element whose projections are all assigned goes to the target element
+    with the same images.  Forced means unique: where several target
+    elements share those images the element is left unforced.  Returns
+    None when the seed forces a conflict or a lift with no target element,
+    or fails to determine every component.
     """
     return next(_extensions(src, tgt, [seed]))
 
 
-def _cone_index(R: Realization, cone: Cone) -> dict[tuple[str, ...], str]:
-    """The first apex element of each projection tuple, kept on the apex
-    carrier while the projections are the same (weakly held) functions."""
-    apex = R.carrier[cone.apex]
-    maps = [R.action[cone.projections[n]] for n in sorted(cone.projections)]
-    cache = apex.__dict__.setdefault("_cone_indexes", {})
-    hit = cache.get(cone.name)
-    if hit is not None and len(hit[0]) == len(maps) and all(
-            r() is f for r, f in zip(hit[0], maps)):
+def _cone_index(R: Realization, apex: str, legs: tuple[str, ...]
+                ) -> dict[tuple[str, ...], str | None]:
+    """The apex element over each tuple of images along the arrows ``legs``,
+    None where several share the tuple: a lift is forced only when unique.
+    Kept on the apex carrier while the legs are the same (weakly held)
+    functions."""
+    carrier = R.carrier[apex]
+    maps = [R.action[a] for a in legs]
+    cache = carrier.__dict__.setdefault("_cone_indexes", {})
+    hit = cache.get(legs)
+    if hit is not None and all(r() is f for r, f in zip(hit[0], maps)):
         return hit[1]
-    index: dict[tuple[str, ...], str] = {}
-    for y, t in _apex_tuples(R, cone):
-        index.setdefault(t, y)
-    cache[cone.name] = [weakref.ref(f) for f in maps], index
+    index: dict[tuple[str, ...], str | None] = {}
+    for y in carrier:
+        t = tuple(f.mapping[y] for f in maps)
+        index[t] = None if t in index else y
+    cache[legs] = [weakref.ref(f) for f in maps], index
     return index
 
 
-def _natural(phi: RealMorphism) -> bool:
-    return next(_failing_squares(phi), None) is None
+def _legs(cone: Cone) -> tuple[str, ...]:
+    return tuple(cone.projections[n] for n in sorted(cone.projections))
 
 
 def _extensions(
     src: Realization, tgt: Realization, seeds: Iterable[dict[str, dict[str, str]]]
 ) -> Iterator[RealMorphism | None]:
-    """``extend_morphism`` of each seed in turn; the target's mono preimages
-    and cone indexes are built once for all of them."""
+    """``extend_morphism`` of each seed in turn, over links built once.
+
+    ``arrows[ob]`` holds each arrow out of ``ob`` as its target object and
+    its two actions.  ``over[ob]`` holds, for each leg into ``ob`` of a
+    mono (a cone with one projection) or a cone, the apex, each leg's
+    object and source action, the target's ``_cone_index`` and the source
+    apex elements over each value of this leg.  Cones without projections
+    sit under ``None``, every apex element over the value ``None``.
+    """
     sk = src.over
     if sk != tgt.over:
         raise ValueError("realizations are over different sketches")
-    mono_inverse = {}
-    for m in sk.monos:
-        fn = tgt.action[m]
-        mono_inverse[m] = {fn(x): x for x in fn.dom}
-    indexes = {name: _cone_index(tgt, cone) for name, cone in sk.cones.items()}
+    arrows: dict[str | None, list] = {ob: [] for ob in (None, *sk.objects)}
+    over: dict[str | None, list] = {ob: [] for ob in (None, *sk.objects)}
+    for aid, decl in sk.arrows.items():
+        arrows[decl.src].append((decl.tgt, src.action[aid].mapping, tgt.action[aid].mapping))
+    lifts = [(sk.arrows[m].src, (m,)) for m in sorted(sk.monos)]
+    lifts += [(sk.cones[name].apex, _legs(sk.cones[name])) for name in sorted(sk.cones)]
+    for apex, legs in lifts:
+        index = _cone_index(tgt, apex, legs)
+        below = [(sk.arrows[a].tgt, src.action[a].mapping) for a in legs]
+        if not legs:
+            over[None].append((apex, below, index, {None: src.carrier[apex].elements}))
+        for ob, f in below:
+            above: dict[str, list[str]] = {}
+            for x, v in f.items():
+                above.setdefault(v, []).append(x)
+            over[ob].append((apex, below, index, above))
     for seed in seeds:
-        yield _propagate(src, tgt, seed, mono_inverse, indexes)
+        yield _propagate(src, tgt, seed, arrows, over)
 
 
 def _propagate(
     src: Realization,
     tgt: Realization,
     seed: dict[str, dict[str, str]],
-    mono_inverse: dict[str, dict[str, str]],
-    indexes: dict[str, dict[tuple[str, ...], str]],
+    arrows: dict[str | None, list],
+    over: dict[str | None, list],
 ) -> RealMorphism | None:
+    """Extend ``seed`` by a worklist that queues each assignment once.
+
+    Popping ``x -> y`` checks or assigns each arrow's square at ``x``, so
+    a complete result is natural, then lifts each unassigned element over
+    ``x`` whose projections are now all assigned.  The first pop, of
+    ``None``, lifts the apexes of the cones without projections.
+    """
     sk = src.over
     comp: dict[str, dict[str, str]] = {ob: {} for ob in sk.objects}
+    todo: list[tuple] = []
     for ob, m in seed.items():
         for x, y in m.items():
             if x not in src.carrier[ob] or y not in tgt.carrier[ob]:
                 raise ValueError(f"seed {x!r} -> {y!r} not in the {ob!r} carriers")
             comp[ob][x] = y
-
-    conflict = False
-
-    def assign(ob: str, x: str, y: str) -> bool:
-        nonlocal conflict
-        cur = comp[ob].get(x)
-        if cur is None:
-            comp[ob][x] = y
-            return True
-        if cur != y:
-            conflict = True
-        return False
-
-    changed = True
-    while changed and not conflict:
-        changed = False
-        for aid, decl in sk.arrows.items():
-            act1, act2 = src.action[aid], tgt.action[aid]
-            for x, y in list(comp[decl.src].items()):
-                if assign(decl.tgt, act1(x), act2(y)):
-                    changed = True
-        for m in sorted(sk.monos):
-            decl = sk.arrows[m]
-            act1 = src.action[m]
-            for x in src.carrier[decl.src]:
-                if x in comp[decl.src]:
-                    continue
-                hx = act1(x)
-                if hx not in comp[decl.tgt]:
-                    continue
-                pre = mono_inverse[m].get(comp[decl.tgt][hx])
-                if pre is None:
-                    return None
-                if assign(decl.src, x, pre):
-                    changed = True
-        for name in sorted(sk.cones):
-            cone = sk.cones[name]
-            keys = sorted(cone.projections)
-            for x in src.carrier[cone.apex]:
-                if x in comp[cone.apex]:
+            todo.append((ob, x, y))
+    todo.append((None, None, None))
+    while todo:
+        ob, x, y = todo.pop()
+        for ob2, f, g in arrows[ob]:
+            x2, y2 = f[x], g[y]
+            c = comp[ob2]
+            old = c.get(x2)
+            if old is None:
+                c[x2] = y2
+                todo.append((ob2, x2, y2))
+            elif old != y2:
+                return None
+        for apex, below, index, above in over[ob]:
+            c = comp[apex]
+            for a in above.get(x, ()):
+                if a in c:
                     continue
                 t = []
-                for n in keys:
-                    img = comp[cone.nodes[n]].get(src.action[cone.projections[n]](x))
-                    if img is None:
+                for n, f in below:
+                    v = comp[n].get(f[a])
+                    if v is None:
                         break
-                    t.append(img)
+                    t.append(v)
                 else:
-                    y = indexes[name].get(tuple(t))
-                    if y is None:
+                    t = tuple(t)
+                    if t not in index:
                         return None
-                    if assign(cone.apex, x, y):
-                        changed = True
-    if conflict:
-        return None
+                    b = index[t]
+                    if b is not None:
+                        c[a] = b
+                        todo.append((apex, a, b))
     if any(len(comp[ob]) != len(src.carrier[ob]) for ob in sk.objects):
         return None
-    phi = RealMorphism(
-        src, tgt, {ob: FinFunction(src.carrier[ob], tgt.carrier[ob], comp[ob]) for ob in sk.objects}
-    )
-    return phi if _natural(phi) else None
+    return RealMorphism(src, tgt, {
+        ob: FinFunction(src.carrier[ob], tgt.carrier[ob],
+                        {x: comp[ob][x] for x in src.carrier[ob]})
+        for ob in sk.objects})

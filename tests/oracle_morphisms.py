@@ -1,5 +1,5 @@
-"""A frozen copy of morphism enumeration as it was before it ran forced
-extension.
+"""Frozen copies of morphism enumeration as it was before it ran forced
+extension, and of forced extension as it was before it ran a worklist.
 
 Test-only reference: components are enumerated at the objects that are not
 cone apexes (and at apexes whose cones depend on each other in a cycle),
@@ -7,12 +7,18 @@ every other apex component is derived through one cone's comparison index,
 in dependency order, and each candidate is kept when it is natural.  The
 differential tests require ``enumerate_morphisms`` and ``is_isomorphic`` to
 return exactly what this module returns, in the same order, on model
-targets.  Do not optimise it.
+targets.
+
+``extend_morphism`` sweeps every arrow, mono and cone until nothing changes
+and then checks every naturality square; a mono or cone lift takes the last
+preimage or the first apex element.  On model targets every lift is unique,
+and the differential tests require the library to return the same
+extension.  Do not optimise either.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from limsketch.finset import FinFunction, is_bijection
 from limsketch.realization import RealMorphism, Realization
@@ -134,3 +140,101 @@ def is_isomorphic(R1: Realization, R2: Realization) -> RealMorphism | None:
         if all(is_bijection(fn) for fn in phi.components.values()):
             return phi
     return None
+
+
+def extend_morphism(
+    src: Realization, tgt: Realization, seed: dict[str, dict[str, str]]
+) -> RealMorphism | None:
+    return next(_extensions(src, tgt, [seed]))
+
+
+def _extensions(
+    src: Realization, tgt: Realization, seeds: Iterable[dict[str, dict[str, str]]]
+) -> Iterator[RealMorphism | None]:
+    sk = src.over
+    if sk != tgt.over:
+        raise ValueError("realizations are over different sketches")
+    mono_inverse = {}
+    for m in sk.monos:
+        fn = tgt.action[m]
+        mono_inverse[m] = {fn(x): x for x in fn.dom}
+    indexes = {name: _cone_index(tgt, cone) for name, cone in sk.cones.items()}
+    for seed in seeds:
+        yield _propagate(src, tgt, seed, mono_inverse, indexes)
+
+
+def _propagate(
+    src: Realization,
+    tgt: Realization,
+    seed: dict[str, dict[str, str]],
+    mono_inverse: dict[str, dict[str, str]],
+    indexes: dict[str, dict[tuple[str, ...], str]],
+) -> RealMorphism | None:
+    sk = src.over
+    comp: dict[str, dict[str, str]] = {ob: {} for ob in sk.objects}
+    for ob, m in seed.items():
+        for x, y in m.items():
+            if x not in src.carrier[ob] or y not in tgt.carrier[ob]:
+                raise ValueError(f"seed {x!r} -> {y!r} not in the {ob!r} carriers")
+            comp[ob][x] = y
+
+    conflict = False
+
+    def assign(ob: str, x: str, y: str) -> bool:
+        nonlocal conflict
+        cur = comp[ob].get(x)
+        if cur is None:
+            comp[ob][x] = y
+            return True
+        if cur != y:
+            conflict = True
+        return False
+
+    changed = True
+    while changed and not conflict:
+        changed = False
+        for aid, decl in sk.arrows.items():
+            act1, act2 = src.action[aid], tgt.action[aid]
+            for x, y in list(comp[decl.src].items()):
+                if assign(decl.tgt, act1(x), act2(y)):
+                    changed = True
+        for m in sorted(sk.monos):
+            decl = sk.arrows[m]
+            act1 = src.action[m]
+            for x in src.carrier[decl.src]:
+                if x in comp[decl.src]:
+                    continue
+                hx = act1(x)
+                if hx not in comp[decl.tgt]:
+                    continue
+                pre = mono_inverse[m].get(comp[decl.tgt][hx])
+                if pre is None:
+                    return None
+                if assign(decl.src, x, pre):
+                    changed = True
+        for name in sorted(sk.cones):
+            cone = sk.cones[name]
+            keys = sorted(cone.projections)
+            for x in src.carrier[cone.apex]:
+                if x in comp[cone.apex]:
+                    continue
+                t = []
+                for n in keys:
+                    img = comp[cone.nodes[n]].get(src.action[cone.projections[n]](x))
+                    if img is None:
+                        break
+                    t.append(img)
+                else:
+                    y = indexes[name].get(tuple(t))
+                    if y is None:
+                        return None
+                    if assign(cone.apex, x, y):
+                        changed = True
+    if conflict:
+        return None
+    if any(len(comp[ob]) != len(src.carrier[ob]) for ob in sk.objects):
+        return None
+    phi = RealMorphism(
+        src, tgt, {ob: FinFunction(src.carrier[ob], tgt.carrier[ob], comp[ob]) for ob in sk.objects}
+    )
+    return phi if _natural(phi) else None

@@ -1,13 +1,15 @@
 """Differential tests: morphism search against a frozen enumerate-and-derive
-copy.
+copy, and forced extension against a frozen sweep-until-stable copy.
 
 ``oracle_morphisms`` derives every non-free apex component through one
 cone's comparison index and keeps the natural candidates.  The library
 passes each free assignment to forced extension instead.  On model targets
 both must return the same morphisms in the same order, and ``is_isomorphic``
-the same first isomorphism.
+the same first isomorphism.  Forced extension of any seed into a model must
+give the oracle's answer, its components keyed in source carrier order.
 """
 
+import itertools
 import random
 from importlib import resources
 
@@ -21,13 +23,14 @@ from limsketch.realization import (
     Realization,
     check_realization,
     enumerate_morphisms,
+    extend_morphism,
     is_isomorphic,
 )
 from limsketch.sketch import ArrowDecl, Cone, Sketch, validate_sketch
 
 from test_acceptance import as_closed_table, tabled_spec
 from test_engine import LOC, MP_RULE, RULES
-from test_realization import MAGMA, mk_graph
+from test_realization import MAGMA, TERMINAL, mk_graph
 
 CORPUS = resources.files("limsketch") / "corpus"
 
@@ -154,3 +157,71 @@ def test_cyclically_dependent_apexes_are_enumerated():
     for _ in range(4):
         assert_all_pairs([random_cyclic(rng) for _ in range(4)], 16)
 
+
+def assert_same_extension(R1, R2, seed):
+    """Both extensions of ``seed`` agree; returns whether they exist."""
+    got = extend_morphism(R1, R2, seed)
+    want = oracle_morphisms.extend_morphism(R1, R2, seed)
+    assert (got is None) == (want is None), seed
+    if got is not None:
+        for ob in R1.over.objects:
+            assert list(got.components[ob].mapping.items()) == [
+                (x, want(ob, x)) for x in R1.carrier[ob]], seed
+    return got is not None
+
+
+def extension_seeds(rng, R1, R2):
+    """Single-generator seeds, then full, partial and conflicting ones cut
+    from the first morphisms of a small search."""
+    obs = [ob for ob in R1.over.objects if R1.carrier[ob] and R2.carrier[ob]]
+    for ob in obs:
+        yield {ob: {rng.choice(R1.carrier[ob].elements):
+                    rng.choice(R2.carrier[ob].elements)}}
+    if oracle_morphisms.search_space(R1, R2) > CHECKED_SPACE:
+        return
+    found = oracle_morphisms._iter_morphisms(R1, R2, CHECKED_SPACE)
+    for phi in itertools.islice(found, 2):
+        full = {ob: dict(fn.mapping) for ob, fn in phi.components.items()}
+        yield full
+        yield {ob: {x: y for x, y in m.items() if rng.random() < 0.3}
+               for ob, m in full.items()}
+        if obs:
+            ob = rng.choice(obs)
+            full[ob][rng.choice(R1.carrier[ob].elements)] = rng.choice(
+                R2.carrier[ob].elements)
+            yield full
+
+
+def assert_same_extensions(rng, models, least):
+    """Every seed into every model among ``models``; at least ``least``
+    seeds must extend."""
+    extended = 0
+    for R1 in models:
+        for R2 in models:
+            if R1.over == R2.over and check_realization(R2).ok:
+                extended += sum(assert_same_extension(R1, R2, seed)
+                                for seed in extension_seeds(rng, R1, R2))
+    assert extended >= least
+
+
+def random_terminal(rng):
+    """A model of ``TERMINAL``: One has one element."""
+    A, One = finset(f"a{i}" for i in range(rng.randint(0, 2))), finset(["o"])
+    return Realization(TERMINAL, {"One": One, "A": A},
+                       {"a": FinFunction(A, One, {x: "o" for x in A})})
+
+
+def test_forced_extension_matches_the_sweep():
+    rng = random.Random(1105)
+    corpus = []
+    for name in ("bank.sk", "graph.sk", "magma.sk", "mp.sk"):
+        corpus += [decl.realization for decl in dsl.parse_path(CORPUS / name)
+                   if isinstance(decl, dsl.NamedSpec)]
+    assert_same_extensions(rng, corpus, 20)
+    for case in range(4):
+        spec = tabled_spec(rng, rng.randint(1, 2), case % 2 == 0)
+        sat = saturate(spec, RULES if case % 2 == 0 else [MP_RULE])
+        assert_same_extensions(rng, [spec, sat.result], 4)
+    for make in (random_graph, random_magma, random_terminal):
+        for _ in range(3):
+            assert_same_extensions(rng, [make(rng) for _ in range(4)], 20)

@@ -29,12 +29,31 @@ from limsketch.sketch import (
     builtin_sketches,
 )
 
+from limsketch.yoneda import representable
+
 from helpers import compose_morphisms, empty_realization
 from test_engine import RULES, mp_basic
 
 GRAPH = builtin_sketches()["graph"]
 MAGMA = builtin_sketches()["magma"]
 MP = builtin_sketches()["mp_theory"]
+
+# A terminal object One, through a cone without projections.
+TERMINAL = Sketch(
+    name="terminal",
+    objects=("One", "A"),
+    arrows={"a": ArrowDecl("a", "A", "One")},
+    cones={"t": Cone("t", "One", {})},
+)
+
+# P is a limit over A through p and, by a second cone, over B through q.
+TWO_CONES = Sketch(
+    name="two_cones",
+    objects=("P", "A", "B"),
+    arrows={"p": ArrowDecl("p", "P", "A"), "q": ArrowDecl("q", "P", "B")},
+    cones={"c1": Cone("c1", "P", {"a": "A"}, projections={"a": "p"}),
+           "c2": Cone("c2", "P", {"b": "B"}, projections={"b": "q"})},
+)
 
 
 def mk_graph(vs, es, smap, tmap) -> Realization:
@@ -475,3 +494,36 @@ def test_extend_uses_mono_preimages():
     assert phi is not None
     assert phi.components["Theo"]("ta") == "ta"
     assert phi.components["H_MP"]("ma") == "ma"
+
+
+def test_cone_without_projections_sends_its_apex_to_the_terminal():
+    one, a = representable(TERMINAL, "One").spec, representable(TERMINAL, "A").spec
+    assert len(enumerate_morphisms(one, a)) == 1
+    assert extend_morphism(one, one, {}) == identity_morphism(one)
+
+
+def two_cones_pair() -> tuple[Realization, Realization]:
+    """A model of TWO_CONES and a non-model target whose u and v share
+    q's value b0 but differ under p."""
+    P, A, B = finset(["x"]), finset(["ax"]), finset(["bx"])
+    src = Realization(TWO_CONES, {"P": P, "A": A, "B": B}, {
+        "p": FinFunction(P, A, {"x": "ax"}), "q": FinFunction(P, B, {"x": "bx"})})
+    P, A, B = finset(["u", "v"]), finset(["a0", "a1"]), finset(["b0"])
+    tgt = Realization(TWO_CONES, {"P": P, "A": A, "B": B}, {
+        "p": FinFunction(P, A, {"u": "a0", "v": "a1"}),
+        "q": FinFunction(P, B, {"u": "b0", "v": "b0"})})
+    return src, tgt
+
+
+def test_enumeration_keeps_a_lift_through_either_cone():
+    src, tgt = two_cones_pair()
+    assert check_realization(src).ok and not check_realization(tgt).ok
+    found = enumerate_morphisms(src, tgt)
+    assert sorted(phi("P", "x") for phi in found) == ["u", "v"]
+    assert all(check_morphism(phi).ok for phi in found)
+
+
+def test_extend_leaves_an_ambiguous_lift_unforced():
+    """Both u and v lie over b0, so the seed forces neither."""
+    src, tgt = two_cones_pair()
+    assert extend_morphism(src, tgt, {"B": {"bx": "b0"}}) is None
