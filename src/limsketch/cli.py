@@ -134,6 +134,18 @@ def _write_spec(out_dir, name, spec):
     return path
 
 
+def _emit_spec(args, name, spec) -> int:
+    """Write ``spec`` to ``--out`` if given, then print it as text or JSON."""
+    if args.out:
+        print(f"wrote {_write_spec(args.out, name, spec)}")
+    named = dsl.NamedSpec(name, spec)
+    if args.format == "json":
+        print(dsl.serialize_json(named))
+    else:
+        print(dsl.serialize(named), end="")
+    return 0
+
+
 def _print_json(doc):
     print(json.dumps(doc, indent=2))
 
@@ -348,15 +360,7 @@ def cmd_yoneda(args) -> int:
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    named = dsl.NamedSpec(f"y_{args.object}", rep.spec)
-    if args.out:
-        path = _write_spec(args.out, named.name, rep.spec)
-        print(f"wrote {path}")
-    if args.format == "json":
-        print(dsl.serialize_json(named))
-    else:
-        print(dsl.serialize(named), end="")
-    return 0
+    return _emit_spec(args, f"y_{args.object}", rep.spec)
 
 
 def cmd_transport(args) -> int:
@@ -369,15 +373,7 @@ def cmd_transport(args) -> int:
             f"{spec.realization.over.name!r}, but morphism "
             f"{morphism.name!r} targets {morphism.morphism.tgt.name!r}")
     moved = transport_spec(morphism.morphism, spec.realization)
-    named = dsl.NamedSpec(f"{spec.name}_along_{morphism.name}", moved)
-    if args.out:
-        path = _write_spec(args.out, named.name, moved)
-        print(f"wrote {path}")
-    if args.format == "json":
-        print(dsl.serialize_json(named))
-    else:
-        print(dsl.serialize(named), end="")
-    return 0
+    return _emit_spec(args, f"{spec.name}_along_{morphism.name}", moved)
 
 
 def cmd_corpus(args) -> int:

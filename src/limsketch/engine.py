@@ -65,7 +65,7 @@ class Rule:
     ``hypothesis`` is the representable at the match object, ``glue`` the
     representable at the witness object introduced by cycle breaking, and
     ``conclusion`` the representable at the target of the broken arrow.
-    ``hyp_to_glue`` and ``concl_to_glue`` include both into the glue.
+    ``hyp_to_glue`` and ``concl_to_glue`` are the span's Yoneda images.
     """
 
     id: str
@@ -167,7 +167,7 @@ class _Chase:
     Each object's elements live in one union-find, in creation order;
     representatives are always the oldest element of their class, so input
     names survive identification with freshly created ones.  Action tables
-    are keyed by representatives; values are resolved lazily on read.
+    are keyed by representatives; reads resolve values, never write back.
 
     Repair is semi-naive.  A clock ticks on every change (an element
     created, a merge, an action written, an identification queued), and
@@ -203,6 +203,7 @@ class _Chase:
         self.act: dict[str, dict[str, str]] = {
             a: dict(actions.get(a, {})) for a in sk.arrows
         }
+        self.lookups = {a: self._lookup(a) for a in sk.arrows}
         self.joins: dict[str, tuple] = {}
         self.pending: deque[tuple[str, str, str]] = deque()
         self.round_added: dict[str, list[str]] = {ob: [] for ob in sk.objects}
@@ -241,14 +242,17 @@ class _Chase:
 
     # -- actions ----------------------------------------------------------
 
+    def _lookup(self, aid: str) -> Callable[[str], str | None]:
+        """One arrow's value at an element, resolved to its class."""
+        table, find = self.act[aid].get, self.uf[self.sk.arrows[aid].tgt].find
+
+        def lookup(x: str) -> str | None:
+            v = table(x)
+            return v if v is None else find(v)
+        return lookup
+
     def get(self, aid: str, x: str) -> str | None:
-        v = self.act[aid].get(x)
-        if v is None:
-            return None
-        r = self.uf[self.sk.arrows[aid].tgt].find(v)
-        if r != v:
-            self.act[aid][x] = r
-        return r
+        return self.lookups[aid](x)
 
     def write(self, aid: str, x: str, y: str) -> None:
         """Write an action value; every change of an action goes here."""
@@ -257,24 +261,16 @@ class _Chase:
         self.arrow_stamp[aid] = self.clock
 
     def put(self, aid: str, x: str, y: str) -> None:
-        cur = self.get(aid, x)
+        cur = self.lookups[aid](x)
         if cur is None:
             self.write(aid, x, y)
         elif cur != y:
             self.enqueue(self.sk.arrows[aid].tgt, cur, y)
 
-    def try_eval(self, path: tuple[str, ...], x: str) -> str | None:
-        for a in path:
-            nxt = self.get(a, x)
-            if nxt is None:
-                return None
-            x = nxt
-        return x
-
     def eval_create(self, path: tuple[str, ...], x: str) -> str:
         """Evaluate a path, inventing fresh elements where actions stop."""
         for a in path:
-            nxt = self.get(a, x)
+            nxt = self.lookups[a](x)
             if nxt is None:
                 nxt = self.fresh(self.sk.arrows[a].tgt)
                 self.write(a, x, nxt)
@@ -342,9 +338,10 @@ class _Chase:
     def _repair_equation(self, eq) -> None:
         anchor = self.sk.arrows[eq.lhs[0]].src
         end_ob = self.sk.arrows[eq.lhs[-1]].tgt
+        lhs, rhs = (compose_partial([self.lookups[a] for a in side])
+                    for side in (eq.lhs, eq.rhs))
         for x in self.reps(anchor):
-            lv = self.try_eval(eq.lhs, x)
-            rv = self.try_eval(eq.rhs, x)
+            lv, rv = lhs(x), rhs(x)
             if lv is None and rv is None:
                 continue
             if lv is not None and rv is not None:
@@ -356,10 +353,10 @@ class _Chase:
                 self.force_path(eq.rhs, x, lv, anchor)
 
     def _repair_mono(self, m: str) -> None:
-        src = self.sk.arrows[m].src
+        src, get = self.sk.arrows[m].src, self.lookups[m]
         seen: dict[str, str] = {}
         for x in self.reps(src):
-            y = self.get(m, x)
+            y = get(x)
             if y is None:
                 continue
             prev = seen.get(y)
@@ -375,16 +372,6 @@ class _Chase:
             if x not in table:
                 self.write(aid, x, self.fresh(decl.tgt))
 
-    def _lookup(self, aid: str) -> Callable[[str], str | None]:
-        """``get`` of one arrow, bound to its action table and to the
-        union-find of its target, without writing resolved values back."""
-        table, find = self.act[aid].get, self.uf[self.sk.arrows[aid].tgt].find
-
-        def lookup(x: str) -> str | None:
-            v = table(x)
-            return v if v is None else find(v)
-        return lookup
-
     def _cone_join(self, cone: Cone) -> tuple:
         """The join of ``cone``, compiled for this state: its plan, the
         objects of the plan's nodes, lookups along its edges and its
@@ -393,9 +380,9 @@ class _Chase:
         keys = nodes[:len(cone.projections)]
         return (plan_join(nodes, [(e.src, e.tgt) for e in cone.edges]),
                 [cone.nodes[n] for n in nodes],
-                [compose_partial([self._lookup(a) for a in e.path])
+                [compose_partial([self.lookups[a] for a in e.path])
                  for e in cone.edges],
-                [self._lookup(cone.projections[n]) for n in keys],
+                [self.lookups[cone.projections[n]] for n in keys],
                 [(nodes.index(n), cone.nodes[n]) for n in sorted(cone.nodes)])
 
     def _repair_cone(self, cone: Cone) -> None:
@@ -490,14 +477,8 @@ class _Chase:
     def unsatisfied(self, rules: list[Rule]) -> list[tuple[Rule, str]]:
         out: list[tuple[Rule, str]] = []
         for rule in rules:
-            image: set[str] = set()
-            for w in self.reps(rule.fresh):
-                v = self.get(rule.h_arrow, w)
-                if v is not None:
-                    image.add(v)
-            for x in self.reps(rule.apex):
-                if x not in image:
-                    out.append((rule, x))
+            image = set(map(self.lookups[rule.h_arrow], self.reps(rule.fresh)))
+            out += [(rule, x) for x in self.reps(rule.apex) if x not in image]
         return out
 
     def fire(self, rule: Rule, element: str) -> None:
@@ -528,7 +509,8 @@ class _Chase:
                              or ob_stamp[decl.tgt]):
                 action[aid] = base.action[aid]
                 continue
-            mapping = {x: self.get(aid, x) for x in carrier[decl.src].elements}
+            elements = carrier[decl.src].elements
+            mapping = dict(zip(elements, map(self.lookups[aid], elements)))
             action[aid] = FinFunction(carrier[decl.src], carrier[decl.tgt],
                                       mapping)
         result = Realization(self.sk, carrier, action)
@@ -628,34 +610,20 @@ def rules_of(loc: Localiser) -> list[Rule]:
     """Read the logical rules off a localiser, ordered by rule id.
 
     Each broken arrow c: H' -> C with section witness h: H' -> H yields the
-    rule whose hypothesis is the representable at H, glued along the
+    rule whose legs are the Yoneda images Y(h): Y(H) -> Y(H') and
+    Y(c): Y(C) -> Y(H'): the hypothesis at H, glued along the
     representable at H' to the conclusion at C.
     """
-    from .yoneda import representable
+    from .yoneda import generator_of, yoneda_arrow
 
     sk = loc.underlying.src
     out: list[Rule] = []
     for rec in loc.broken:
-        h_decl = sk.arrows[rec.h]
-        c_decl = sk.arrows[rec.c]
-        apex, fresh_ob, concl_ob = h_decl.tgt, h_decl.src, c_decl.tgt
-        hyp = representable(sk, apex)
-        glue = representable(sk, fresh_ob)
-        concl = representable(sk, concl_ob)
-        h_img = glue.spec.action[rec.h](glue.generator)
-        c_img = glue.spec.action[rec.c](glue.generator)
-        hyp_to_glue = extend_morphism(hyp.spec, glue.spec,
-                                      {apex: {hyp.generator: h_img}})
-        concl_to_glue = extend_morphism(concl.spec, glue.spec,
-                                        {concl_ob: {concl.generator: c_img}})
-        if hyp_to_glue is None or concl_to_glue is None:
-            raise RuntimeError(
-                f"representable inclusions for rule {rec.c} did not extend")
-        out.append(Rule(rec.c, hyp.spec, concl.spec, glue.spec, hyp_to_glue,
-                        concl_to_glue, apex, fresh_ob, rec.h, rec.c,
-                        hyp.generator))
-    out.sort(key=lambda r: r.id)
-    return out
+        h, c = yoneda_arrow(sk, rec.h), yoneda_arrow(sk, rec.c)
+        apex, fresh_ob = sk.arrows[rec.h].tgt, sk.arrows[rec.h].src
+        out.append(Rule(rec.c, h.src, c.src, h.tgt, h, c, apex, fresh_ob,
+                        rec.h, rec.c, generator_of(apex)))
+    return sorted(out, key=lambda r: r.id)
 
 
 def match_rule(rule: Rule, spec: Realization) -> list[Match]:

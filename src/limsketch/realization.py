@@ -54,12 +54,6 @@ def identity_morphism(R: Realization) -> RealMorphism:
 # ---------------------------------------------------------------------------
 
 
-def _follow(R: Realization, path: tuple[str, ...], x: str) -> str:
-    for a in path:
-        x = R.action[a].mapping[x]
-    return x
-
-
 def _base_order(cone: Cone) -> list[str]:
     """The base nodes, projected ones first, each part sorted: the order of
     a family tuple, whose restriction is then its prefix."""
@@ -178,8 +172,10 @@ def check_realization(R: Realization) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
     for i, eq in enumerate(sk.equations):
+        lhs_of, rhs_of = (compose_partial([R.action[a].mapping.get for a in p])
+                          for p in (eq.lhs, eq.rhs))
         for x in R.carrier[sk.arrows[eq.lhs[0]].src]:
-            lhs, rhs = _follow(R, eq.lhs, x), _follow(R, eq.rhs, x)
+            lhs, rhs = lhs_of(x), rhs_of(x)
             if lhs != rhs:
                 out.append(
                     Violation(
@@ -246,14 +242,12 @@ def restrict_along(sigma: SketchMorphism, R: Realization) -> Realization:
     if not report.ok:
         raise ValueError(f"invalid sketch morphism:\n{report}")
     carrier = {ob: R.carrier[sigma.object_map[ob]] for ob in sigma.src.objects}
-    action = {
-        aid: FinFunction(
-            carrier[decl.src],
-            carrier[decl.tgt],
-            {x: _follow(R, sigma.arrow_map[aid], x) for x in carrier[decl.src]},
-        )
-        for aid, decl in sigma.src.arrows.items()
-    }
+    action = {}
+    for aid, decl in sigma.src.arrows.items():
+        f = compose_partial([R.action[a].mapping.get
+                             for a in sigma.arrow_map[aid]])
+        action[aid] = FinFunction(carrier[decl.src], carrier[decl.tgt],
+                                  {x: f(x) for x in carrier[decl.src]})
     return Realization(over=sigma.src, carrier=carrier, action=action)
 
 

@@ -23,6 +23,11 @@ class Representable:
     generator: str
 
 
+def generator_of(ob: str) -> str:
+    """The name of the one generator of the representable at ``ob``."""
+    return f"{ob}#0"
+
+
 def representable(sk: Sketch, ob: str) -> Representable:
     """Compute the representable specification at ``ob``.
 
@@ -32,7 +37,7 @@ def representable(sk: Sketch, ob: str) -> Representable:
     """
     if ob not in sk.objects:
         raise ValueError(f"unknown object {ob!r} in sketch {sk.name}")
-    generator = f"{ob}#0"
+    generator = generator_of(ob)
     st = _Chase(sk, {ob: (generator,)}, {})
     try:
         st.repair(full=True)

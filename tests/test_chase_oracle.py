@@ -245,3 +245,26 @@ def test_random_sketches_match_oracle(monkeypatch):
         assert got == repaired(oracle_chase._Chase, *case), f"seed {seed}"
         merged += len(got) == 3 and bool(got[2][1])
     assert merged >= 100
+
+
+def test_reads_leave_the_chase_unchanged(monkeypatch):
+    # Action values go stale when their target merges; a read resolves
+    # them to their class but must not store the resolution.
+    monkeypatch.setattr(engine, "_MAX_ELEMENTS", 300)
+    stale = 0
+    for seed in range(200):
+        sk, carriers, actions = random_state(random.Random(seed))
+        st = engine._Chase(sk, carriers, actions)
+        try:
+            st.repair(full=True)
+        except ChaseDiverged:
+            continue
+        before = ({a: dict(t) for a, t in st.act.items()}, st.clock)
+        stale += any(st.uf[sk.arrows[a].tgt].find(y) != y
+                     for a, t in st.act.items() for y in t.values())
+        for a, d in sk.arrows.items():
+            for x in st.reps(d.src):
+                st.get(a, x)
+        st.realization()
+        assert (st.act, st.clock) == before, f"seed {seed}"
+    assert stale >= 80

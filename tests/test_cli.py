@@ -276,6 +276,22 @@ def test_transport_mismatched_pair_exits_two(capsys):
     assert "lives over" in err
 
 
+def test_yoneda_and_transport_write_then_print_json(tmp_path, capsys):
+    for argv, name in (
+            (["yoneda", MP, "For", "--sketch", "mp_sp"], "y_For"),
+            (["transport", BANK, "--morphism", "expand_code", "--spec",
+              "acct_decorated"], "acct_decorated_along_expand_code")):
+        code, out, _ = run(argv + ["--out", str(tmp_path), "--format",
+                                   "json"], capsys)
+        assert code == 0
+        wrote, doc = out.split("\n", 1)
+        path = tmp_path / f"{name}.sk"
+        assert wrote == f"wrote {path}"
+        written = dsl.parse_path(path)[-1]
+        assert written.name == name
+        assert doc == dsl.serialize_json(written) + "\n"
+
+
 def test_corpus_copy(tmp_path, capsys):
     code, out, _ = run(["corpus", "--out", str(tmp_path)], capsys)
     assert code == 0

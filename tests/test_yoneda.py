@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from limsketch import dsl
+from limsketch.engine import rules_of
 from limsketch.finset import FinFunction, finset
 from limsketch.localizer import break_cycles
 from limsketch.realization import (
@@ -213,3 +214,22 @@ def test_density_needs_the_specs_own_sketch():
         if isinstance(d, dsl.NamedSpec)).realization
     with pytest.raises(ValueError, match="not over sketch graph"):
         density_check(GRAPH, and_table)
+
+
+def test_every_rule_is_the_yoneda_image_of_its_span():
+    rules = 0
+    for path in sorted((resources.files("limsketch") / "corpus").iterdir()):
+        if not path.name.endswith(".sk"):
+            continue
+        for d in dsl.parse_path(path):
+            if not isinstance(d, Sketch):
+                continue
+            sp, loc = break_cycles(d)
+            for rule in rules_of(loc):
+                h = yoneda_arrow(sp, rule.h_arrow)
+                c = yoneda_arrow(sp, rule.c_arrow)
+                assert rule.hyp_to_glue == h and rule.concl_to_glue == c
+                assert (rule.hypothesis, rule.glue, rule.conclusion) == \
+                    (h.src, h.tgt, c.src) and c.tgt == h.tgt
+                rules += 1
+    assert rules == 11
