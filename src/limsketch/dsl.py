@@ -82,6 +82,32 @@ _TOKEN = re.compile(
 _KIND = {"": "eof", **dict.fromkeys(string.ascii_letters + "_", "ident"),
          **dict.fromkeys(string.digits, "num"),
          **{p: p for p in ("=>", "->", *"{}()[]:;=,.")}}
+# The split scan: once each one-character mark but "=" is padded with
+# blanks, ``str.split`` cuts a text where ``_TOKEN`` does, unless the text
+# holds a non-ASCII character or a blank that ``split`` knows and the
+# grammar does not, or one of its words is more than one token (as any word
+# holding the comment mark ``//`` is).
+_MARKS = "{}()[]:;,."
+_SPLIT_ONLY_BLANKS = "\v\f\x1c\x1d\x1e\x1f"
+
+
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The token texts and kinds of ``text``, as ``_TOKEN`` finds them up
+    to the end-of-input token; by the split scan where it applies."""
+    if text.isascii() and not any(c in text for c in _SPLIT_ONLY_BLANKS):
+        padded = text
+        for mark in _MARKS:
+            padded = padded.replace(mark, f" {mark} ")
+        texts = padded.split()
+        texts.append("")
+        # each distinct word's kind, None for a word of several tokens
+        kind_of = {w: _KIND.get(w) or (
+            "ident" if _IDENT.fullmatch(w) else "num" if w.isdigit()
+            else "stray" if len(w) == 1 else None) for w in set(texts)}
+        if None not in kind_of.values():
+            return texts, list(map(kind_of.__getitem__, texts))
+    texts = _TOKEN.findall(text)
+    return texts, [_KIND.get(t) or _KIND.get(t[:1], "stray") for t in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +115,9 @@ _KIND = {"": "eof", **dict.fromkeys(string.ascii_letters + "_", "ident"),
 # ---------------------------------------------------------------------------
 
 _TOP_KEYWORDS = ("sketch", "spec", "morphism", "config")
+# The token kinds of ``elem ID : ID`` and ``act ID ( ID ) = ID``.
+_ELEM_SHAPE = ["ident", "ident", ":", "ident"]
+_ACT_SHAPE = ["ident", "ident", "(", "ident", ")", "=", "ident"]
 
 
 class _Builder:
@@ -376,9 +405,7 @@ class _Parser:
 
     def __init__(self, text: str, env: dict[str, Sketch] | None):
         self.text = text
-        self.texts: list[str] = _TOKEN.findall(text)
-        self.kinds: list[str] = [_KIND.get(t) or _KIND.get(t[:1], "stray")
-                                 for t in self.texts]
+        self.texts, self.kinds = _scan(text)
         self.offsets: list[int] | None = None
         self.line_starts: list[int] = []
         self.build = _Builder(env, self.locate)
@@ -469,11 +496,15 @@ class _Parser:
             except _Recover:
                 self.skip_to(_TOP_KEYWORDS)
 
-    def entries(self, what: str, handlers: dict) -> None:
+    def entries(self, what: str, handlers: dict, bulk=None) -> None:
         """Parse ``{ entry* }``.  ``handlers`` maps each entry keyword to a
         function of the keyword's token that parses the rest of the entry;
-        after a syntax error, parsing resumes at the next keyword."""
+        after a syntax error, parsing resumes at the next keyword.  ``bulk``,
+        if given, first reads a run of well-formed entries past the brace,
+        leaving the cursor at the first entry it does not take."""
         self.expect("{")
+        if bulk is not None:
+            bulk()
         stops = (*handlers, "}")
         while True:
             at = self.pos
@@ -625,7 +656,22 @@ class _Parser:
             self.expect("=")
             acts.append((aid, x, self.ident("element name"), at))
 
-        self.entries("spec", {"elem": elem, "act": act})
+        def bulk() -> None:
+            texts, kinds, at = self.texts, self.kinds, self.pos
+            while True:
+                word = texts[at]
+                if word == "elem" and kinds[at:at + 4] == _ELEM_SHAPE:
+                    elems.append((texts[at + 1], texts[at + 3], at))
+                    at += 4
+                elif word == "act" and kinds[at:at + 7] == _ACT_SHAPE:
+                    acts.append((texts[at + 1], texts[at + 3], texts[at + 6],
+                                 at))
+                    at += 7
+                else:
+                    self.pos = at
+                    return
+
+        self.entries("spec", {"elem": elem, "act": act}, bulk)
         self.build.spec(name, name_at, over, over_at, elems, acts)
 
     # -- morphism
@@ -741,9 +787,9 @@ def _serialize_spec(decl: NamedSpec) -> str:
         for x in r.carrier[ob]:
             lines.append(f"  elem {x} : {ob}")
     for aid in sorted(sk.arrows):
-        src = sk.arrows[aid].src
-        for x in r.carrier[src]:
-            lines.append(f"  act {aid}({x}) = {r.action[aid](x)}")
+        table = r.action[aid].mapping
+        for x in r.carrier[sk.arrows[aid].src]:
+            lines.append(f"  act {aid}({x}) = {table[x]}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -870,7 +916,7 @@ def _spec_doc(decl: NamedSpec) -> dict:
         "over": r.over.name,
         "carriers": {ob: list(r.carrier[ob].elements)
                      for ob in r.over.objects},
-        "actions": {aid: {x: r.action[aid](x)
+        "actions": {aid: {x: r.action[aid].mapping[x]
                           for x in r.carrier[r.over.arrows[aid].src]}
                     for aid in sorted(r.over.arrows)},
     }

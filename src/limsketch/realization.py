@@ -77,8 +77,12 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     candidates = [R.carrier[cone.nodes[n]].elements for n in nodes]
     lookups = [compose_partial([R.action[a].mapping.get for a in e.path])
                for e in cone.edges]
-    maps = [R.action[cone.projections[n]].mapping for n in keys]
-    apex = [(x, tuple(m[x] for m in maps)) for x in R.carrier[cone.apex]]
+    # Apex projection tuples, read a column per projection (none: all empty).
+    elements = R.carrier[cone.apex].elements
+    columns = [map(R.action[cone.projections[n]].mapping.__getitem__,
+                   elements) for n in keys]
+    apex = list(zip(elements, zip(*columns) if columns
+                    else [()] * len(elements)))
     limit = len({t for _, t in apex})
     counts: dict[tuple[str, ...], int] = {}
     complete = True

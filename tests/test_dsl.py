@@ -129,6 +129,73 @@ def test_blanks_and_a_comment_may_end_the_file(text):
     assert dsl.parse(text) == [dsl.parse("sketch a { object A }")[0]]
 
 
+# Pieces of random texts for the scanner check: identifier characters,
+# digits, the grammar's marks and its four blanks, then rarer ones: a
+# comment, the blanks only ``str.split`` knows, and strays, some not ASCII.
+SCAN_PIECES = [*"aZ_#'", *"09", *"{}()[]:;=,.", "=>", "->", *" \t\r\n"]
+RARE_SCAN_PIECES = ["//", "\v", "\f", "\x1c", "\x85", "\xa0", "é", "$", "/"]
+TOKEN = dsl._TOKEN
+
+
+def regex_scan(text: str) -> tuple[list[str], list[str]]:
+    """The tokens ``_TOKEN`` finds, up to the end-of-input token, and the
+    kind of each."""
+    texts = TOKEN.findall(text)
+    texts = texts[:texts.index("") + 1]
+    return texts, [dsl._KIND.get(t) or dsl._KIND.get(t[:1], "stray")
+                   for t in texts]
+
+
+class CountedToken:
+    """``_TOKEN``, counting the texts that fall back to it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def findall(self, text):
+        self.calls += 1
+        return TOKEN.findall(text)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    counted = CountedToken()
+    monkeypatch.setattr(dsl, "_TOKEN", counted)
+    return counted
+
+
+def scan(text: str) -> tuple[list[str], list[str]]:
+    texts, kinds = dsl._scan(text)
+    end = texts.index("") + 1
+    return texts[:end], kinds[:end]
+
+
+def test_split_scan_agrees_with_the_regex_scan(counted):
+    rng = random.Random(15)
+    for case in range(100_000):
+        text = "".join(
+            rng.choice(RARE_SCAN_PIECES if rng.random() < 0.04
+                       else SCAN_PIECES)
+            for _ in range(rng.randrange(9)))
+        assert scan(text) == regex_scan(text), f"case {case}: {text!r}"
+    # both scans ran often
+    assert 20_000 < counted.calls < 80_000
+
+
+@pytest.mark.parametrize("text, falls_back", [
+    *((text, True) for text in (
+        "a // note\nb", "a//b", "a\xa0b", "a\x85b", "é", "a\vb", "a\fb",
+        "a\x1cb", "a\x1fb", "12ab", "a->b", "x==y", "#a", "a$b", "-->")),
+    *((text, False) for text in (
+        "spec s over t {\r\n\tact p(x) = y elem x:A }",
+        "a#0 b' 12 = => -> $ /", "", " \t\r\n")),
+])
+def test_split_scan_falls_back_exactly_when_it_must(counted, text,
+                                                    falls_back):
+    assert scan(text) == regex_scan(text)
+    assert counted.calls == falls_back
+
+
 def test_mono_by_suffix_and_by_keyword():
     suffix = dsl.parse(
         "sketch a { object X arrow i : X -> X [mono] }")[0]

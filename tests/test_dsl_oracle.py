@@ -135,3 +135,58 @@ def test_scan_is_linear_in_a_long_tail(tail):
         decls = dsl.parse(text)
         assert time.perf_counter() - start < n / 200_000
         assert [d.name for d in decls] == ["a"]
+
+
+def compact(text: str) -> str:
+    """``text`` with each action written ``act p1(x)=y``."""
+    return text.replace(") = ", ")=")
+
+
+def with_crlf_and_tabs(text: str) -> str:
+    return text.replace("\n", "\r\n").replace("  ", "\t")
+
+
+def with_comment(text: str) -> str:
+    """``text`` with a comment line inside its spec block."""
+    head, rest = text.split("\n", 1)
+    return f"{head}\n  // a note inside the block\n{rest}"
+
+
+@pytest.mark.parametrize("n, form", [(60, str), (20, compact)],
+                         ids=["chain60", "compact-chain20"])
+def test_large_chains_load_like_the_oracle(n, form):
+    text = form(chain_text(n))
+    assert load(dsl.parse, text)[1] == []
+    assert_same_load(text)
+
+
+@pytest.mark.parametrize("layout", [with_crlf_and_tabs, with_comment],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("form", [str, compact], ids=["spaced", "compact"])
+def test_relaid_chains_load_like_the_oracle(form, layout):
+    text = layout(form(chain_text(20)))
+    assert load(dsl.parse, text)[1] == []
+    assert_same_load(text)
+
+
+@pytest.mark.parametrize("broken", [
+    "  act p1(x) y",
+    "  elem x H_IM",
+    "  act p1 x) = y",
+    "  act p1(x) = y = z",
+    "  elem x : : H_IM",
+    "  bogus x",
+    "  elem 7 : H_IM",
+    "  act p1(x) = y }",
+])
+@pytest.mark.parametrize("at", [700, -700], ids=["elems", "acts"])
+@pytest.mark.parametrize("form", [str, compact], ids=["spaced", "compact"])
+def test_malformed_entry_deep_in_a_spec_loads_like_the_oracle(form, at,
+                                                              broken):
+    """One bad entry after hundreds of good ones: the bulk entry loop hands
+    over to the general one mid-block, and the issues must still agree."""
+    lines = form(chain_text(12)).split("\n")
+    assert lines[at].startswith("  elem" if at > 0 else "  act")
+    text = "\n".join([*lines[:at], broken, *lines[at:]])
+    assert load(dsl.parse, text)[1] != []
+    assert_same_load(text)
