@@ -175,7 +175,7 @@ def cmd_validate(args) -> int:
     if args.format == "json":
         _print_json([
             {"name": name, "kind": kind,
-             "violations": json.loads(dsl.serialize_json(rep))}
+             "violations": dsl.to_jsonable(rep)}
             for name, kind, rep in entries
         ])
     else:
@@ -254,7 +254,7 @@ def cmd_saturate(args) -> int:
     if args.out:
         _write_spec(args.out, f"{spec.name}_saturated", res.result)
     if args.format == "json":
-        doc = json.loads(dsl.serialize_json(res))
+        doc = dsl.to_jsonable(res)
         doc["carriers"] = _carrier_sizes(res.result)
         _print_json(doc)
     else:
@@ -304,7 +304,8 @@ def cmd_prove(args) -> int:
     spec = None
     fraction = None
     steps = 0
-    for lineno, raw in enumerate(script.read_text().splitlines(), 1):
+    lines = script.read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
@@ -497,7 +498,7 @@ def main(argv=None) -> int:
     except ChaseDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

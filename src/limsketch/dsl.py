@@ -1061,7 +1061,7 @@ def _read_doc(build: _Builder, at: int, doc) -> None:
 
 def parse_path(path, env: dict[str, Sketch] | None = None) -> list:
     """Load declarations from a ``.sk`` or ``.sk.json`` file."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     if str(path).endswith(".json"):
         return parse_json(text, env)
     return parse(text, env)

@@ -723,11 +723,6 @@ def is_theory(spec: Realization, rules: list[Rule]) -> bool:
     return True
 
 
-def identity_fraction(spec: Realization) -> Fraction:
-    i = identity_morphism(spec)
-    return Fraction(spec, spec, spec, i, i, "by-construction")
-
-
 def _induced_map(a: ChaseResult, b: ChaseResult,
                  into_b) -> tuple[RealMorphism | None, bool]:
     """Extend ``a.embedding(x) -> b.embedding(into_b(ob, x))``, for x in

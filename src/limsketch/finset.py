@@ -1,7 +1,9 @@
-"""Finite sets, functions between them, and the small limits/colimits the engine needs.
+"""Finite sets, functions between them, the cone-family join and the union-find.
 
 Everything is named: elements are strings, and all operations produce
 deterministic element orders so downstream serializations are byte-stable.
+Nothing in the package calls the set ``limit`` and ``pushout``; the
+benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class FinSet:
         return len(self.elements)
 
 
-def finset(items: Iterable[str]) -> FinSet:
-    return FinSet(tuple(items))
-
-
 @dataclass(frozen=True)
 class FinFunction:
     """A total function between finite sets, stored pointwise."""
@@ -77,13 +75,6 @@ def identity(s: FinSet) -> FinFunction:
         f = FinFunction(s, s, dict(zip(s.elements, s.elements)))
         object.__setattr__(s, "_identity", weakref.ref(f))
     return f
-
-
-def compose(f: FinFunction, g: FinFunction) -> FinFunction:
-    """Apply f then g (diagrammatic order)."""
-    if f.cod != g.dom:
-        raise ValueError("compose requires cod(f) == dom(g)")
-    return FinFunction(f.dom, g.cod, {x: g(f(x)) for x in f.dom})
 
 
 def is_bijection(f: FinFunction) -> bool:
@@ -270,26 +261,6 @@ def compose_partial(
     return composite
 
 
-def families(
-    nodes: dict[str, Sequence[str]],
-    edges: Sequence[tuple[str, str, Callable[[str], str | None]]],
-) -> Iterator[dict[str, str]]:
-    """Every edge-compatible family of a finite diagram, as node -> value dicts.
-
-    ``nodes`` gives each node its candidate values; an edge ``(src, tgt, f)``
-    asks ``f(family[src]) == family[tgt]``, and ``f`` returning None
-    (undefined) rules the family out.  The diagram is planned by
-    :func:`plan_join` and run by the kernel :func:`join`.  The families come
-    out in a fixed order, a function of the candidate orders alone: that of
-    a depth-first search over the plan's picks, each trying its candidates
-    (or its bucket, a subsequence of them) in their given order.
-    """
-    names = tuple(nodes)
-    plan = plan_join(names, [(s, t) for s, t, _ in edges])
-    return (dict(zip(names, fam)) for fam in
-            join(plan, [nodes[n] for n in names], [f for _, _, f in edges]))
-
-
 def limit(diagram: FinDiagram) -> tuple[FinSet, dict[str, FinFunction]]:
     """Limit of a finite diagram of finite sets.
 
@@ -298,10 +269,11 @@ def limit(diagram: FinDiagram) -> tuple[FinSet, dict[str, FinFunction]]:
     the one-point set. Returns the limit set and one projection per node.
     """
     order = sorted(diagram.nodes)
-    fams = sorted(
-        families({n: s.elements for n, s in diagram.nodes.items()},
-                 [(s, t, f.mapping.get) for s, t, f in diagram.edges.values()]),
-        key=lambda fam: tuple(fam[n] for n in order))
+    edges = diagram.edges.values()
+    plan = plan_join(order, [(s, t) for s, t, _ in edges])
+    fams = [dict(zip(order, fam)) for fam in sorted(
+        join(plan, [diagram.nodes[n].elements for n in order],
+             [f.mapping.get for _, _, f in edges]))]
     names = [family_name(order, fam) for fam in fams]
     lim = FinSet(tuple(names))
     projections = {
@@ -351,25 +323,6 @@ class UnionFind:
         for x in self.parent:
             by_root.setdefault(self.find(x), []).append(x)
         return by_root
-
-
-def congruence_closure(s: FinSet, pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
-    """Finest equivalence containing the pairs, as an element -> representative map.
-
-    Representatives are the lexicographically least member of each class.
-    Pairs naming elements outside s raise ValueError.
-    """
-    uf = UnionFind(s.elements)
-    for a, b in pairs:
-        if a not in s or b not in s:
-            raise ValueError(f"congruence pair ({a}, {b}) mentions elements outside the set")
-        uf.union(a, b)
-    rep: dict[str, str] = {}
-    for members in uf.classes().values():
-        least = min(members)  # type: ignore[type-var]
-        for m in members:
-            rep[m] = least  # type: ignore[index]
-    return {x: rep[x] for x in s.elements}
 
 
 def pushout(f: FinFunction, g: FinFunction) -> tuple[FinSet, FinFunction, FinFunction]:

@@ -64,15 +64,6 @@ class CycleReport:
         return frozenset(a for walk in self.cycles for a, _ in walk)
 
 
-def identity_morphism(sk: Sketch) -> SketchMorphism:
-    return SketchMorphism(
-        src=sk,
-        tgt=sk,
-        object_map={ob: ob for ob in sk.objects},
-        arrow_map={a: (a,) for a in sk.arrows},
-    )
-
-
 def as_localiser(m: SketchMorphism) -> Localiser:
     """Recover the broken-arrow records from a cycle-breaking morphism.
 

@@ -1,8 +1,9 @@
 """Realization helpers only the tests use."""
 
-from limsketch.finset import FinFunction, FinSet, compose
+from limsketch.finset import FinFunction, FinSet
 from limsketch.realization import RealMorphism, Realization
 from limsketch.sketch import Sketch
+from oracle_surface import compose
 
 
 def empty_realization(sk: Sketch) -> Realization:

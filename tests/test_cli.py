@@ -77,6 +77,29 @@ def test_parse_error_exits_two_with_position(tmp_path, capsys):
     assert "3:1:" in err
 
 
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    f = tmp_path / "latin1.sk"
+    f.write_bytes(b"sketch a {\n  object caf\xe9\n}\n")
+    code, _, err = run(["validate", str(f)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "utf-8" in err
+
+
+def test_non_utf8_proof_script_exits_two(tmp_path, capsys):
+    script = tmp_path / "proof.txt"
+    script.write_bytes(f"use {MP}\nspec mp_basic\n".encode() + b"// \xff\n")
+    code, _, err = run(["prove", str(script)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "utf-8" in err
+    # a file the script uses is read the same way
+    bad = tmp_path / "bad.sk"
+    bad.write_bytes(b"\xff")
+    script.write_text(f"use {bad}\n")
+    code, _, err = run(["prove", str(script)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "utf-8" in err
+
+
 def test_break_reports_cycles_and_writes_files(tmp_path, capsys):
     code, out, _ = run(["break", MP, "--sketch", "mp_theory",
                         "--out", str(tmp_path)], capsys)
@@ -116,6 +139,20 @@ def test_saturate_fixpoint_and_round_trip(tmp_path, capsys):
                         "--rules", "MP"], capsys)
     assert code == 0
     assert "status fixpoint rounds 0" in out
+
+
+def test_saturate_json_is_the_trace_document_with_carriers(tmp_path,
+                                                          capsys):
+    trace = tmp_path / "trace.json"
+    code, out, _ = run(["saturate", MP, "--rules", "MP", "--format", "json",
+                        "--trace", str(trace)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert (doc["status"], doc["rounds"]) == ("fixpoint", 1)
+    assert doc["carriers"]["Theo"] == 3
+    del doc["carriers"]
+    assert doc == json.loads(trace.read_text())
 
 
 def test_saturate_capped_run(capsys):

@@ -13,7 +13,6 @@ from limsketch.engine import (
     apply_rule,
     check_fraction,
     compose_fractions,
-    identity_fraction,
     induced_isomorphism,
     is_theory,
     match_rule,
@@ -22,7 +21,7 @@ from limsketch.engine import (
     trace_doc,
     trace_lines,
 )
-from limsketch.finset import FinFunction, finset
+from limsketch.finset import FinFunction
 from limsketch.localizer import as_localiser, break_cycles
 from limsketch.realization import (
     RealMorphism,
@@ -33,6 +32,7 @@ from limsketch.realization import (
     is_isomorphic,
 )
 from limsketch.sketch import builtin_sketches
+from oracle_surface import finset, identity_fraction
 
 GRAPH = builtin_sketches()["graph"]
 MP = builtin_sketches()["mp_theory"]

@@ -1,6 +1,6 @@
 """Differential tests: the planned family join against the frozen recursive one.
 
-``finset.families`` plans each diagram once and runs a flat kernel over one
+``oracle_surface.families`` plans each diagram once and runs a flat kernel over one
 assignment; ``oracle_chase.families`` is the recursive propagate-and-search
 it replaced.  Fresh chase names follow the order in which families come out,
 so the two must agree on the order as well as on the families.  A plan
@@ -10,11 +10,12 @@ seed.
 
 import random
 
-from limsketch.finset import FinFunction, families, finset, join, plan_join
+from limsketch.finset import FinFunction, join, plan_join
 from limsketch.realization import Realization, check_realization
 from limsketch.sketch import ArrowDecl, Cone, ConeEdge, Sketch
 
 import oracle_chase
+from oracle_surface import families, finset
 
 
 def random_diagram(rng: random.Random):

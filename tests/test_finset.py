@@ -10,15 +10,12 @@ from limsketch.finset import (
     FinFunction,
     FinSet,
     UnionFind,
-    compose,
-    congruence_closure,
-    families,
-    finset,
     identity,
     is_bijection,
     limit,
     pushout,
 )
+from oracle_surface import compose, congruence_closure, families, finset
 
 # ---------------------------------------------------------------------------
 # independent oracles (naive, kept separate from the library implementations)

@@ -10,7 +10,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from limsketch.finset import FinFunction, FinSet, finset  # noqa: E402
+from limsketch.finset import FinFunction, FinSet  # noqa: E402
+from oracle_surface import finset  # noqa: E402
 
 names = st.text(alphabet="abc", max_size=3)
 distinct = st.lists(names, unique=True, max_size=8)

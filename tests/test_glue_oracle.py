@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from limsketch.engine import Fraction, compose_fractions  # noqa: E402
-from limsketch.finset import FinFunction, finset, pushout  # noqa: E402
+from limsketch.finset import FinFunction, pushout  # noqa: E402
 from limsketch.realization import (  # noqa: E402
     RealMorphism,
     Realization,
@@ -21,6 +21,7 @@ from limsketch.realization import (  # noqa: E402
     identity_morphism,
 )
 from limsketch.sketch import builtin_sketches  # noqa: E402
+from oracle_surface import finset  # noqa: E402
 
 GRAPH = builtin_sketches()["graph"]
 names = st.text(alphabet="ab'", min_size=1, max_size=2)

@@ -9,7 +9,6 @@ from limsketch.localizer import (
     check_sketch_morphism,
     default_plan,
     find_cycles,
-    identity_morphism,
     paths_equivalent,
     SketchMorphism,
 )
@@ -22,6 +21,7 @@ from limsketch.sketch import (
     builtin_sketches,
     validate_sketch,
 )
+from oracle_surface import identity_morphism
 
 
 def im_fragment() -> Sketch:

@@ -18,7 +18,7 @@ import pytest
 import oracle_morphisms
 from limsketch import dsl
 from limsketch.engine import saturate, transport_spec
-from limsketch.finset import FinFunction, finset
+from limsketch.finset import FinFunction
 from limsketch.realization import (
     Realization,
     check_realization,
@@ -27,6 +27,7 @@ from limsketch.realization import (
     is_isomorphic,
 )
 from limsketch.sketch import ArrowDecl, Cone, Sketch, validate_sketch
+from oracle_surface import finset
 
 from test_acceptance import as_closed_table, tabled_spec
 from test_engine import LOC, MP_RULE, RULES

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from limsketch.finset import FinFunction, FinSet, finset, is_bijection
+from limsketch.finset import FinFunction, FinSet, is_bijection
 from limsketch.localizer import SketchMorphism, break_cycles
 from limsketch.realization import (
     RealMorphism,
@@ -32,6 +32,7 @@ from limsketch.sketch import (
 from limsketch.yoneda import representable
 
 from helpers import compose_morphisms, empty_realization
+from oracle_surface import finset
 from test_engine import RULES, mp_basic
 
 GRAPH = builtin_sketches()["graph"]
@@ -333,7 +334,7 @@ def test_morphism_across_sketches_is_an_error():
 
 
 def test_restrict_along_identity():
-    from limsketch.localizer import identity_morphism as sketch_identity
+    from oracle_surface import identity_morphism as sketch_identity
 
     R = mk_graph(["v"], ["e"], {"e": "v"}, {"e": "v"})
     assert restrict_along(sketch_identity(GRAPH), R) == R

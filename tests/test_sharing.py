@@ -26,7 +26,7 @@ from limsketch.engine import (
     saturate,
     trace_lines,
 )
-from limsketch.finset import FinFunction, FinSet, finset, identity
+from limsketch.finset import FinFunction, FinSet, identity
 from limsketch.localizer import as_localiser
 from limsketch.realization import (
     RealMorphism,
@@ -35,6 +35,7 @@ from limsketch.realization import (
     identity_morphism,
 )
 from limsketch.sketch import builtin_sketches
+from oracle_surface import finset
 
 from test_engine import MP_RULE
 from test_repaired_mark import (

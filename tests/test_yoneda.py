@@ -7,7 +7,7 @@ import pytest
 
 from limsketch import dsl
 from limsketch.engine import rules_of
-from limsketch.finset import FinFunction, finset
+from limsketch.finset import FinFunction
 from limsketch.localizer import break_cycles
 from limsketch.realization import (
     Realization,
@@ -31,6 +31,7 @@ from limsketch.yoneda import (
 )
 
 from helpers import compose_morphisms
+from oracle_surface import finset
 
 MP = builtin_sketches()["mp_theory"]
 GRAPH = builtin_sketches()["graph"]
