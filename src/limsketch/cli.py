@@ -304,7 +304,7 @@ def cmd_prove(args) -> int:
     spec = None
     fraction = None
     steps = 0
-    lines = script.read_text(encoding="utf-8").splitlines()
+    lines = dsl.read_text(script).splitlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("//", 1)[0].strip()
         if not line:

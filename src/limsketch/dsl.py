@@ -1059,9 +1059,18 @@ def _read_doc(build: _Builder, at: int, doc) -> None:
                      None if rules is None else tuple(_list(rules)))
 
 
+def read_text(path) -> str:
+    """A file's text as UTF-8; a byte that does not decode names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        e.reason += f" in {path}"
+        raise
+
+
 def parse_path(path, env: dict[str, Sketch] | None = None) -> list:
     """Load declarations from a ``.sk`` or ``.sk.json`` file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if str(path).endswith(".json"):
         return parse_json(text, env)
     return parse(text, env)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable
 
 from .finset import (
@@ -169,15 +170,15 @@ class _Chase:
     names survive identification with freshly created ones.  Action tables
     are keyed by representatives; reads resolve values, never write back.
 
-    Repair is semi-naive.  A clock ticks on every change (an element
-    created, a merge, an action written, an identification queued), and
-    each object and arrow keeps the tick of its own last change.  A repair
-    unit (one equation, mono, cone, or arrow's totality) that ended its
-    last run without changing anything is skipped until something it reads
-    changes, since rerunning it would change nothing either.  This carries
-    over between states: a realization extracted while every unit is clean
-    is marked repaired, and a state built from a marked one starts with
-    every unit clean.
+    Repair is semi-naive.  A clock ticks on every change (a batch of
+    elements created, a merge, a batch of action values written, an
+    identification queued), and each object and arrow keeps the tick of its
+    own last change.  A repair unit (one equation, mono, cone, or arrow's
+    totality) that ended its last run without changing anything is skipped
+    until something it reads changes, since rerunning it would change
+    nothing either.  This carries over between states: a realization
+    extracted while every unit is clean is marked repaired, and a state
+    built from a marked one starts with every unit clean.
 
     Seeding is not a change: the clock and every stamp start at 0.  A state
     seeded from a realization, its ``base``, shares with it each carrier
@@ -212,30 +213,43 @@ class _Chase:
     # -- elements ---------------------------------------------------------
 
     def _count(self, n: int) -> None:
-        if self.created + n > _MAX_ELEMENTS:
+        room = _MAX_ELEMENTS - self.created
+        self.created += min(n, room)
+        if n > room:
             raise ChaseDiverged(
                 "chase element budget exceeded; the sketch likely has an "
                 "unbroken productive cycle")
-        self.created += n
 
-    def _register(self, ob: str, name: str) -> None:
-        self._count(1)
-        self.uf[ob].add(name)
-        self._touch_object(ob)
+    def _add(self, ob: str, names: list[str]) -> None:
+        """Add new elements to ``ob``, in order; past the element budget,
+        the chase diverges once the names that fit are added."""
+        fits = names[:_MAX_ELEMENTS - self.created]
+        if fits:
+            self.uf[ob].add_many(fits)
+            self._touch_object(ob)
+        self._count(len(names))
 
     def _touch_object(self, ob: str) -> None:
         self.clock += 1
         self.ob_stamp[ob] = self.clock
 
+    def fresh_many(self, ob: str, k: int) -> list[str]:
+        """``k`` new elements of ``ob``, named ``ob#i`` for the next free
+        counter values; names, counts and the budget's stop are those of
+        ``k`` calls of :meth:`fresh`."""
+        parent, names, c = self.uf[ob].parent, [], self.fresh_counter
+        while len(names) < k:
+            name = f"{ob}#{c}"
+            c += 1
+            if name not in parent:
+                names.append(name)
+        self.fresh_counter = c
+        self._add(ob, names)
+        self.round_added[ob] += names
+        return names
+
     def fresh(self, ob: str) -> str:
-        while True:
-            name = f"{ob}#{self.fresh_counter}"
-            self.fresh_counter += 1
-            if name not in self.uf[ob].parent:
-                break
-        self._register(ob, name)
-        self.round_added[ob].append(name)
-        return name
+        return self.fresh_many(ob, 1)[0]
 
     def reps(self, ob: str) -> list[str]:
         return self.uf[ob].roots()
@@ -254,16 +268,17 @@ class _Chase:
     def get(self, aid: str, x: str) -> str | None:
         return self.lookups[aid](x)
 
-    def write(self, aid: str, x: str, y: str) -> None:
-        """Write an action value; every change of an action goes here."""
-        self.act[aid][x] = y
-        self.clock += 1
-        self.arrow_stamp[aid] = self.clock
+    def write_many(self, aid: str, pairs: dict[str, str]) -> None:
+        """Write action values; every change of an action goes here."""
+        if pairs:
+            self.act[aid].update(pairs)
+            self.clock += 1
+            self.arrow_stamp[aid] = self.clock
 
     def put(self, aid: str, x: str, y: str) -> None:
         cur = self.lookups[aid](x)
         if cur is None:
-            self.write(aid, x, y)
+            self.write_many(aid, {x: y})
         elif cur != y:
             self.enqueue(self.sk.arrows[aid].tgt, cur, y)
 
@@ -273,7 +288,7 @@ class _Chase:
             nxt = self.lookups[a](x)
             if nxt is None:
                 nxt = self.fresh(self.sk.arrows[a].tgt)
-                self.write(a, x, nxt)
+                self.write_many(a, {x: nxt})
             x = nxt
         return x
 
@@ -309,7 +324,7 @@ class _Chase:
                 if keep in table:
                     self.enqueue(self.sk.arrows[aid].tgt, table[keep], moved)
                 else:
-                    self.write(aid, keep, moved)
+                    self.write_many(aid, {keep: moved})
 
     # -- repair passes ----------------------------------------------------
 
@@ -366,11 +381,11 @@ class _Chase:
                 self.enqueue(src, prev, x)
 
     def _repair_totality(self, aid: str) -> None:
-        decl = self.sk.arrows[aid]
-        table = self.act[aid]
-        for x in self.reps(decl.src):
-            if x not in table:
-                self.write(aid, x, self.fresh(decl.tgt))
+        decl, table = self.sk.arrows[aid], self.act[aid]
+        missing = list(filterfalse(table.__contains__, self.reps(decl.src)))
+        if missing:
+            self.write_many(aid, dict(zip(
+                missing, self.fresh_many(decl.tgt, len(missing)))))
 
     def _cone_join(self, cone: Cone) -> tuple:
         """The join of ``cone``, compiled for this state: its plan, the
@@ -426,11 +441,10 @@ class _Chase:
             self.enqueue(cone.apex, prev, x)
         # Comparison surjectivity: every family needs an apex element.
         keys = plan.nodes[:k]
-        for t in first:
-            if t not in seen:
-                x = self.fresh(cone.apex)
-                for n, v in zip(keys, t):
-                    self.write(cone.projections[n], x, v)
+        missing = list(filterfalse(seen.__contains__, first))
+        xs = self.fresh_many(cone.apex, len(missing))
+        for n, column in zip(keys, zip(*missing)):
+            self.write_many(cone.projections[n], dict(zip(xs, column)))
         # Unrealised tuples: build the missing family from scratch.
         for t in seen:
             if t not in first:
@@ -474,16 +488,10 @@ class _Chase:
 
     # -- rule machinery ---------------------------------------------------
 
-    def unsatisfied(self, rules: list[Rule]) -> list[tuple[Rule, str]]:
-        out: list[tuple[Rule, str]] = []
-        for rule in rules:
-            image = set(map(self.lookups[rule.h_arrow], self.reps(rule.fresh)))
-            out += [(rule, x) for x in self.reps(rule.apex) if x not in image]
-        return out
-
-    def fire(self, rule: Rule, element: str) -> None:
-        witness = self.fresh(rule.fresh)
-        self.write(rule.h_arrow, witness, element)
+    def unsatisfied(self, rule: Rule) -> list[str]:
+        """The apex elements no witness maps to, in carrier order."""
+        image = set(map(self.lookups[rule.h_arrow], self.reps(rule.fresh)))
+        return list(filterfalse(image.__contains__, self.reps(rule.apex)))
 
     # -- extraction -------------------------------------------------------
 
@@ -584,16 +592,17 @@ def saturate(spec: Realization, rules: list[Rule],
     close_round(0, ())
     rounds = 0
     while True:
-        matches = st.unsatisfied(active)
-        if not matches:
+        matches = [(r, st.unsatisfied(r)) for r in active]
+        fired = tuple((r.id, x) for r, xs in matches for x in xs)
+        if not fired:
             status = "fixpoint"
             break
         if rounds >= cfg.max_rounds:
             status = "capped"
             break
-        fired = tuple((r.id, x) for r, x in matches)
-        for rule, x in matches:
-            st.fire(rule, x)
+        for rule, xs in matches:
+            st.write_many(rule.h_arrow, dict(zip(
+                st.fresh_many(rule.fresh, len(xs)), xs)))
         rounds += 1
         last = rounds >= cfg.max_rounds
         st.repair(full=not last)
@@ -683,7 +692,7 @@ def _glue_state(left: Realization, right: Realization,
                 name = x
                 while name in st.uf[ob].parent:
                     name += "'"
-                st._register(ob, name)
+                st._add(ob, [name])
                 own[x] = name
     for aid, decl in st.sk.arrows.items():
         if left.action[aid] is right.action[aid] and \

@@ -291,10 +291,12 @@ class UnionFind:
         self.parent: dict[object, object] = dict(zip(items, items))
         self.birth: dict[object, int] = dict(zip(self.parent, range(len(self.parent))))
 
-    def add(self, x: object) -> None:
-        if x not in self.parent:
-            self.birth[x] = len(self.birth)
-            self.parent[x] = x
+    def add_many(self, xs: list[object]) -> None:
+        """Add new elements, none of them present yet, in order."""
+        birth, parent = self.birth, self.parent
+        for x in xs:
+            birth[x] = len(birth)
+            parent[x] = x
 
     def find(self, x: object) -> object:
         p = self.parent

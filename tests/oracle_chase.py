@@ -106,7 +106,7 @@ class _Chase:
             raise ChaseDiverged(
                 "chase element budget exceeded; the sketch likely has an "
                 "unbroken productive cycle")
-        self.uf[ob].add(name)
+        self.uf[ob].add_many([name])
         self.created += 1
 
     def fresh(self, ob: str) -> str:

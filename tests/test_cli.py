@@ -100,6 +100,22 @@ def test_non_utf8_proof_script_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "utf-8" in err
 
 
+def test_non_utf8_file_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.sk"
+    bad.write_bytes(b"sketch a {\n  object caf\xe9\n}\n")
+    code, _, err = run(["validate", MP, str(bad)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "utf-8" in err and str(bad) in err
+    # a file that a proof script uses, and the script itself
+    script = tmp_path / "proof.txt"
+    script.write_text(f"use {bad}\n")
+    code, _, err = run(["prove", str(script)], capsys)
+    assert code == 2 and str(bad) in err
+    script.write_bytes(b"// \xff\n")
+    code, _, err = run(["prove", str(script)], capsys)
+    assert code == 2 and str(script) in err
+
+
 def test_break_reports_cycles_and_writes_files(tmp_path, capsys):
     code, out, _ = run(["break", MP, "--sketch", "mp_theory",
                         "--out", str(tmp_path)], capsys)
@@ -287,6 +303,15 @@ def test_yoneda_formula_spec(capsys):
 
 
 def test_yoneda_divergence_exits_one(capsys):
+    code, _, err = run(["yoneda", MP, "Theo", "--sketch", "mp_theory"],
+                       capsys)
+    assert code == 1
+    assert "not finitely closed" in err
+
+
+def test_yoneda_divergence_exits_one_within_a_small_budget(monkeypatch,
+                                                           capsys):
+    monkeypatch.setattr(engine, "_MAX_ELEMENTS", 2000)
     code, _, err = run(["yoneda", MP, "Theo", "--sketch", "mp_theory"],
                        capsys)
     assert code == 1

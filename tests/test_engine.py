@@ -32,6 +32,7 @@ from limsketch.realization import (
     is_isomorphic,
 )
 from limsketch.sketch import builtin_sketches
+import oracle_chase
 from oracle_surface import finset, identity_fraction
 
 GRAPH = builtin_sketches()["graph"]
@@ -464,3 +465,60 @@ def test_compose_primes_a_name_freed_by_a_non_injective_leg():
     assert proof.mid.carrier["V"].elements == ("a", "b'")
     assert proof.h.components["V"].mapping == {"a": "a", "b": "a"}
     assert proof.c.components["V"].mapping == {"q": "a", "b": "b'"}
+
+
+# Names For#0, For#2 and For#3 are taken, so fresh For elements must skip
+# them; the counter is shared by every object.
+TAKEN = {"For": ("For#0", "p", "For#2", "For#3"), "Theo": ("t",)}
+FREE = ["For#1", "For#4", "For#5", "For#6", "For#7", "For#8"]
+
+
+def seeded(chase_cls):
+    """A chase seeded with TAKEN, after one fresh Theo element."""
+    st = chase_cls(SP, TAKEN, {})
+    assert st.fresh("Theo") == "Theo#0"
+    return st
+
+
+def creation_state(st):
+    return (st.fresh_counter, st.created,
+            {ob: list(names) for ob, names in st.round_added.items()},
+            {ob: dict(uf.birth) for ob, uf in st.uf.items()})
+
+
+TWINS = pytest.mark.parametrize(
+    "twin", [engine._Chase, oracle_chase._Chase], ids=["engine", "oracle"])
+
+
+@TWINS
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_fresh_many_is_k_fresh_calls(twin, k):
+    st, one_at_a_time = seeded(engine._Chase), seeded(twin)
+    got = st.fresh_many("For", k)
+    assert got == [one_at_a_time.fresh("For") for _ in range(k)] == FREE[:k]
+    assert creation_state(st) == creation_state(one_at_a_time)
+
+
+def test_fresh_many_of_zero_changes_nothing():
+    st = seeded(engine._Chase)
+    before = creation_state(st), st.clock, dict(st.ob_stamp)
+    assert st.fresh_many("For", 0) == []
+    assert (creation_state(st), st.clock, dict(st.ob_stamp)) == before
+
+
+@TWINS
+@pytest.mark.parametrize("room", [0, 1, 4])
+def test_fresh_many_stops_at_the_budget_where_fresh_calls_do(
+        monkeypatch, twin, room):
+    # 5 seeded elements and one Theo element leave ``room`` under the budget
+    monkeypatch.setattr(engine, "_MAX_ELEMENTS", 6 + room)
+    monkeypatch.setattr(oracle_chase, "_MAX_ELEMENTS", 6 + room)
+    st, one_at_a_time = seeded(engine._Chase), seeded(twin)
+    with pytest.raises(ChaseDiverged, match="element budget"):
+        st.fresh_many("For", room + 2)
+    with pytest.raises(ChaseDiverged, match="element budget"):
+        for _ in range(room + 2):
+            one_at_a_time.fresh("For")
+    assert st.created == one_at_a_time.created == 6 + room
+    assert st.uf["For"].birth == one_at_a_time.uf["For"].birth
+    assert list(st.uf["For"].birth)[4:] == FREE[:room]

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from limsketch import dsl
+from limsketch import dsl, engine
 from limsketch.engine import rules_of
 from limsketch.finset import FinFunction
 from limsketch.localizer import break_cycles
@@ -95,6 +95,15 @@ def test_representable_diverges_on_unbroken_sketch():
     # the unbroken rule arrows keep generating new formulas forever
     with pytest.raises(RuntimeError, match="not finitely closed"):
         representable(MP, "Theo")
+
+
+def test_representable_diverges_within_a_small_budget(monkeypatch):
+    # the same divergence, stopped by a budget a hundredth of the default
+    monkeypatch.setattr(engine, "_MAX_ELEMENTS", 2000)
+    with pytest.raises(RuntimeError, match="not finitely closed") as info:
+        representable(MP, "Theo")
+    assert isinstance(info.value.__cause__, engine.ChaseDiverged)
+    assert "budget" in str(info.value.__cause__)
 
 
 def test_yoneda_arrow_graph_endpoints():
