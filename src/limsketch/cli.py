@@ -489,8 +489,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except dsl.ParseError as e:
+        where = f"{e.path}:" if e.path else ""
         for issue in e.issues:
-            print(f"error: {issue}", file=sys.stderr)
+            print(f"error: {where}{issue}", file=sys.stderr)
         return 2
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

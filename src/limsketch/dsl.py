@@ -60,6 +60,10 @@ class ParseIssue:
 
 
 class ParseError(Exception):
+    """The issues of one load; ``path`` names the file, if it was one."""
+
+    path: str | None = None
+
     def __init__(self, issues: list[ParseIssue]):
         self.issues = tuple(issues)
         super().__init__("\n".join(str(i) for i in issues))
@@ -171,7 +175,8 @@ class _Builder:
     def sketch(self, name: str, name_at, objects, arrows, monos, equations,
                cones) -> None:
         """Parts: objects ``(ob, at)``, arrows ``(id, src, tgt, at)``,
-        monos ``(id, at)``, equations ``(lhs, rhs, at)``, cones
+        monos ``(id, at)``, equations ``(lhs, rhs, anchor, at)`` where
+        ``anchor`` is the object an ``id(...)`` side names, else None, cones
         ``(name, apex, nodes, edges, projections, at)`` with nodes
         ``(node, ob, at)`` and projections ``(node, arrow, at)``."""
         mark = self.declare(name, name_at)
@@ -201,7 +206,7 @@ class _Builder:
             else:
                 mono_ids.add(mid)
         eq_list: list[PathEquation] = []
-        for lhs, rhs, at in equations:
+        for lhs, rhs, anchor, at in equations:
             if not lhs and not rhs:
                 self.error(at, "an equation needs at least one non-identity "
                            "side")
@@ -212,6 +217,10 @@ class _Builder:
                 if aid not in arrow_map:
                     self.error(at, f"equation references undeclared arrow "
                                f"{aid!r}")
+            first = arrow_map.get(lhs[0])
+            if anchor is not None and first and anchor != first.src:
+                self.error(at, f"identity side id({anchor}) is not at "
+                           f"{first.src!r}, where the other side starts")
             eq_list.append(PathEquation(lhs, rhs))
         cone_map: dict[str, Cone] = {}
         for cname, apex, nodes, edges, projections, at in cones:
@@ -359,10 +368,16 @@ class _Builder:
                     self.error(path_at, f"unknown target arrow {step!r}")
             if a in arrow_map:
                 self.error(arr_at, f"arrow {a!r} mapped twice")
-            elif not path and src is not None and a in src.arrows and \
-                    src.arrows[a].src not in object_map:
-                self.error(arr_at, f"identity image of arrow {a!r} needs its "
-                           f"source object {src.arrows[a].src!r} mapped")
+            elif not path and src is not None and a in src.arrows:
+                image = object_map.get(src.arrows[a].src)
+                if image is None:
+                    self.error(arr_at, f"identity image of arrow {a!r} needs "
+                               f"its source object {src.arrows[a].src!r} "
+                               f"mapped")
+                elif anchor not in (None, image):
+                    self.error(arr_at, f"identity image id({anchor}) of arrow "
+                               f"{a!r} is not at {image!r}, the image of its "
+                               f"source object")
             arrow_map[a] = path
         if src is None or tgt is None or len(self.issues) > mark:
             return
@@ -548,10 +563,10 @@ class _Parser:
             arrows.append((aid, src, tgt, a_at))
 
         def equation(at: int) -> None:
-            lhs, _ = self.dotted()
+            lhs, left = self.dotted()
             self.expect("=")
-            rhs, _ = self.dotted()
-            equations.append((lhs, rhs, at))
+            rhs, right = self.dotted()
+            equations.append((lhs, rhs, left or right, at))
 
         self.entries("sketch", {
             "object": lambda at: objects.append(self.named("object name")),
@@ -1029,7 +1044,7 @@ def _read_doc(build: _Builder, at: int, doc) -> None:
             [(ob, at) for ob in _list(doc["objects"])],
             [(a["id"], a["src"], a["tgt"], at) for a in _list(doc["arrows"])],
             [(m, at) for m in _list(doc["monos"])],
-            [(tuple(_list(q["lhs"])), tuple(_list(q["rhs"])), at)
+            [(tuple(_list(q["lhs"])), tuple(_list(q["rhs"])), None, at)
              for q in _list(doc["equations"])],
             [(c["name"], c["apex"],
               [(n, ob, at) for n, ob in c["nodes"].items()],
@@ -1069,8 +1084,13 @@ def read_text(path) -> str:
 
 
 def parse_path(path, env: dict[str, Sketch] | None = None) -> list:
-    """Load declarations from a ``.sk`` or ``.sk.json`` file."""
+    """Load declarations from a ``.sk`` or ``.sk.json`` file; a ParseError
+    names the file."""
     text = read_text(path)
-    if str(path).endswith(".json"):
-        return parse_json(text, env)
-    return parse(text, env)
+    try:
+        if str(path).endswith(".json"):
+            return parse_json(text, env)
+        return parse(text, env)
+    except ParseError as e:
+        e.path = str(path)
+        raise

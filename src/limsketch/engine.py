@@ -22,14 +22,15 @@ from .finset import (
     identity,
     is_bijection,
     join,
-    plan_join,
 )
 from .localizer import Localiser
 from .realization import (
     RealMorphism,
     Realization,
-    _base_order,
     _extensions,
+    apex_tuples,
+    clashes,
+    cone_reader,
     extend_morphism,
     identity_morphism,
     restrict_along,
@@ -368,6 +369,8 @@ class _Chase:
                 self.force_path(eq.rhs, x, lv, anchor)
 
     def _repair_mono(self, m: str) -> None:
+        # The one-leg cone, read bare rather than through ``clashes``, which
+        # would wrap the image of every representative in a 1-tuple.
         src, get = self.sk.arrows[m].src, self.lookups[m]
         seen: dict[str, str] = {}
         for x in self.reps(src):
@@ -387,57 +390,36 @@ class _Chase:
             self.write_many(aid, dict(zip(
                 missing, self.fresh_many(decl.tgt, len(missing)))))
 
-    def _cone_join(self, cone: Cone) -> tuple:
-        """The join of ``cone``, compiled for this state: its plan, the
-        objects of the plan's nodes, lookups along its edges and its
-        projections, and (family position, object) in sorted node order."""
-        nodes = _base_order(cone)
-        keys = nodes[:len(cone.projections)]
-        return (plan_join(nodes, [(e.src, e.tgt) for e in cone.edges]),
-                [cone.nodes[n] for n in nodes],
-                [compose_partial([self.lookups[a] for a in e.path])
-                 for e in cone.edges],
-                [self.lookups[cone.projections[n]] for n in keys],
-                [(nodes.index(n), cone.nodes[n]) for n in sorted(cone.nodes)])
-
     def _repair_cone(self, cone: Cone) -> None:
         if cone.name not in self.joins:
-            self.joins[cone.name] = self._cone_join(cone)
-        plan, objects, lookups, projections, merge = self.joins[cone.name]
-        # Projection tuples of apex elements whose projections all exist,
-        # read a column per projection; without projections every tuple
-        # is empty.
-        seen: dict[tuple[str, ...], str] = {}
-        clashes: list[tuple[str, str]] = []
-        apex = self.reps(cone.apex)
-        columns = [map(f, apex) for f in projections]
-        for x, t in zip(apex, zip(*columns) if columns else [()] * len(apex)):
-            if None not in t:
-                prev = seen.setdefault(t, x)
-                if prev is not x:
-                    clashes.append((prev, x))
+            self.joins[cone.name] = cone_reader(cone, self.lookups.__getitem__)
+        plan, objects, paths, legs, _ = self.joins[cone.name]
+        # Apex elements by their projection tuples, where all exist.
+        seen, clashing = clashes(apex_tuples(self.reps(cone.apex), legs))
         # Base families by restriction, their prefix over the projected
         # nodes: the first family of each, and any others.
         reps = {ob: self.reps(ob) for ob in set(objects)}
         first: dict[tuple[str, ...], tuple[str, ...]] = {}
         others: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        k = len(projections)
+        k = len(legs)
         for count, fam in enumerate(
-                join(plan, [reps[ob] for ob in objects], lookups)):
+                join(plan, [reps[ob] for ob in objects], paths)):
             if count >= _MAX_ELEMENTS:
                 raise ChaseDiverged(
                     "cone family enumeration exceeded the chase budget")
             key = fam[:k]
             if first.setdefault(key, fam) is not fam:
                 others.setdefault(key, []).append(fam)
-        # Ambiguous extensions: merge the competing families pointwise.
+        # Ambiguous extensions: merge the competing families pointwise, node
+        # by node in name order.
         if others:
+            order = sorted(range(len(objects)), key=plan.nodes.__getitem__)
             for key, base in first.items():
                 for other in others.get(key, ()):
-                    for i, ob in merge:
-                        self.enqueue(ob, base[i], other[i])
+                    for i in order:
+                        self.enqueue(objects[i], base[i], other[i])
         # Comparison injectivity: equal tuples force equal apex elements.
-        for prev, x in clashes:
+        for prev, x in clashing:
             self.enqueue(cone.apex, prev, x)
         # Comparison surjectivity: every family needs an apex element.
         keys = plan.nodes[:k]

@@ -157,7 +157,7 @@ def check_sketch_morphism(m: SketchMorphism) -> ValidationReport:
             out.append(
                 Violation("object-map-total", ob, f"image {m.object_map[ob]!r} not in target")
             )
-    if not all(v.code != "object-map-total" for v in out):
+    if out:
         return ValidationReport(tuple(out))
     for aid, decl in m.src.arrows.items():
         if aid not in m.arrow_map:
@@ -174,7 +174,7 @@ def check_sketch_morphism(m: SketchMorphism) -> ValidationReport:
             out.append(
                 Violation("arrow-endpoints", aid, f"image has endpoints {got}, expected {want}")
             )
-    if not all(v.code not in ("arrow-map-total", "arrow-endpoints") for v in out):
+    if out:
         return ValidationReport(tuple(out))
     for mono in sorted(m.src.monos):
         image = m.arrow_map[mono]
@@ -395,17 +395,12 @@ def _rewrite_equation(eq: PathEquation, c: str, mono: str, idx: int) -> PathEqua
 
 
 def _rewrite_cone(cone: Cone, c: str, mono: str, fresh: str) -> Cone:
-    hit = {e.src for e in cone.edges if e.path[:1] == (c,)}
-    if not hit:
-        for e in cone.edges:
-            if c in e.path:
-                raise ValueError(
-                    f"cannot break {c!r}: cone {cone.name} mentions it mid-path"
-                )
-        return cone
     for e in cone.edges:
         if c in e.path[1:]:
             raise ValueError(f"cannot break {c!r}: cone {cone.name} mentions it mid-path")
+    hit = {e.src for e in cone.edges if e.path[:1] == (c,)}
+    if not hit:
+        return cone
     for n in sorted(hit):
         if n in cone.projections:
             raise ValueError(

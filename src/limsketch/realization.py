@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .finset import (
     FinFunction,
@@ -50,15 +51,53 @@ def identity_morphism(R: Realization) -> RealMorphism:
 
 
 # ---------------------------------------------------------------------------
-# cone semantics
+# reading a cone
 # ---------------------------------------------------------------------------
 
 
-def _base_order(cone: Cone) -> list[str]:
-    """The base nodes, projected ones first, each part sorted: the order of
-    a family tuple, whose restriction is then its prefix."""
-    keys = sorted(cone.projections)
-    return keys + sorted(set(cone.nodes) - set(keys))
+def _legs(cone: Cone) -> dict[str, str]:
+    """Each projected node's arrow, in leg order: by node name."""
+    return dict(sorted(cone.projections.items()))
+
+
+def cone_reader(cone: Cone, lookup: Callable[[str], Callable]) -> tuple:
+    """How the chase, the check and forced extension read ``cone``, with
+    ``lookup`` giving each arrow's partial function.
+
+    Returns the join plan over the base nodes in family order (the
+    projected nodes in leg order, then the rest sorted, so that a family's
+    restriction is its prefix), each node's object, one partial function
+    per edge path and one per leg, and a thunk for the plan seeded at the
+    projected nodes.
+    """
+    legs = _legs(cone)
+    nodes = [*legs, *sorted(cone.nodes.keys() - legs.keys())]
+    edges = [(e.src, e.tgt) for e in cone.edges]
+    return (plan_join(nodes, edges), [cone.nodes[n] for n in nodes],
+            [compose_partial([lookup(a) for a in e.path]) for e in cone.edges],
+            [lookup(a) for a in legs.values()],
+            partial(plan_join, nodes, edges, list(legs)))
+
+
+def apex_tuples(elements: Sequence[str], legs: Sequence[Callable]) -> Iterator:
+    """Each element with its images along ``legs``, read a column per leg;
+    with no legs every tuple is empty."""
+    columns = [map(f, elements) for f in legs]
+    return zip(elements, zip(*columns) if columns else [()] * len(elements))
+
+
+def clashes(tuples: Iterable) -> tuple[dict, list[tuple[str, str]]]:
+    """The first element over each defined tuple (one without None), and
+    each later element over it paired with that first one: the pairs a
+    comparison that is injective must identify."""
+    first: dict[tuple, str] = {}
+    pairs: list[tuple[str, str]] = []
+    for x, t in tuples:
+        if None not in t:
+            prev = first.setdefault(t, x)
+            if prev is not x:
+                pairs.append((prev, x))
+    return first, pairs
 
 
 def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
@@ -71,86 +110,55 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     enumerated by then is looked up with its projections pinned.
     """
     where = f"cone {cone.name}"
-    keys = sorted(cone.projections)
-    nodes = _base_order(cone)
-    edges = [(e.src, e.tgt) for e in cone.edges]
-    candidates = [R.carrier[cone.nodes[n]].elements for n in nodes]
-    lookups = [compose_partial([R.action[a].mapping.get for a in e.path])
-               for e in cone.edges]
-    # Apex projection tuples, read a column per projection (none: all empty).
-    elements = R.carrier[cone.apex].elements
-    columns = [map(R.action[cone.projections[n]].mapping.__getitem__,
-                   elements) for n in keys]
-    apex = list(zip(elements, zip(*columns) if columns
-                    else [()] * len(elements)))
+    plan, objects, paths, legs, pin = cone_reader(
+        cone, lambda a: R.action[a].mapping.get)
+    k = len(legs)
+    candidates = [R.carrier[ob].elements for ob in objects]
+    apex = list(apex_tuples(R.carrier[cone.apex].elements, legs))
     limit = len({t for _, t in apex})
     counts: dict[tuple[str, ...], int] = {}
     complete = True
-    for fam in join(plan_join(nodes, edges), candidates, lookups):
-        t = fam[:len(keys)]
+    for fam in join(plan, candidates, paths):
+        t = fam[:k]
         counts[t] = counts.get(t, 0) + 1
         if len(counts) > limit:
             complete = False
             break
     # Once counts are partial, an apex tuple not among them is looked up
     # by one plan seeded at the projected nodes, with shared buckets.
-    pinned_plan = plan_join(nodes, edges, keys)
+    pinned_plan = None if complete else pin()
     buckets: dict[int, dict[str, list[str]]] = {}
-    carriers = [R.carrier[cone.nodes[n]] for n in keys]
+    carriers = [R.carrier[ob] for ob in objects[:k]]
 
     def pinned(t: tuple[str, ...]) -> bool:
         """Whether some family restricts to ``t``."""
         return all(x in c for x, c in zip(t, carriers)) and next(
-            join(pinned_plan, candidates, lookups, t, buckets), None) is not None
+            join(pinned_plan, candidates, paths, t, buckets), None) is not None
 
     seen: dict[tuple[str, ...], str] = {}
     for x, t in apex:
         if t in seen:
-            out.append(
-                Violation(
-                    "cone-comparison-not-injective",
-                    where,
-                    f"apex elements {seen[t]!r} and {x!r} both project to {t}",
-                )
-            )
+            out.append(Violation("cone-comparison-not-injective", where,
+                                 f"apex elements {seen[t]!r} and {x!r} both project to {t}"))
         elif t in counts or not complete and pinned(t):
             seen[t] = x
         else:
-            out.append(
-                Violation(
-                    "cone-comparison-unrealized",
-                    where,
-                    f"apex element {x!r} projects to {t}, which no base family restricts to",
-                )
-            )
+            out.append(Violation("cone-comparison-unrealized", where, f"apex element {x!r} "
+                                 f"projects to {t}, which no base family restricts to"))
     if not complete:
         t = next(t for t in counts if t not in seen)
-        out.append(
-            Violation(
-                "cone-comparison-not-surjective",
-                where,
-                f"no apex element projects to the family restriction {t}, the first of "
-                f"more restrictions than apex tuples; the enumeration stopped there",
-            )
-        )
+        out.append(Violation(
+            "cone-comparison-not-surjective", where,
+            f"no apex element projects to the family restriction {t}, the first of "
+            f"more restrictions than apex tuples; the enumeration stopped there"))
         return
     for t, n in sorted(counts.items()):
         if t not in seen:
-            out.append(
-                Violation(
-                    "cone-comparison-not-surjective",
-                    where,
-                    f"no apex element projects to the family restriction {t}",
-                )
-            )
+            out.append(Violation("cone-comparison-not-surjective", where,
+                                 f"no apex element projects to the family restriction {t}"))
         if n > 1:
-            out.append(
-                Violation(
-                    "cone-ambiguous-extension",
-                    where,
-                    f"restriction {t} extends to {n} distinct base families",
-                )
-            )
+            out.append(Violation("cone-ambiguous-extension", where,
+                                 f"restriction {t} extends to {n} distinct base families"))
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +196,12 @@ def check_realization(R: Realization) -> ValidationReport:
                         f"sides disagree at {x!r}: {lhs!r} != {rhs!r}",
                     )
                 )
+    # A mono is the one-leg cone; its comparison must be injective.
     for m in sorted(sk.monos):
         fn = R.action[m]
-        images: dict[str, str] = {}
-        for x in fn.dom:
-            y = fn(x)
-            if y in images:
-                out.append(
-                    Violation(
-                        "mono-not-injective",
-                        m,
-                        f"{images[y]!r} and {x!r} collide at {y!r}",
-                    )
-                )
-            else:
-                images[y] = x
+        for prev, x in clashes(apex_tuples(fn.dom.elements, [fn.mapping.get]))[1]:
+            out.append(Violation("mono-not-injective", m,
+                                 f"{prev!r} and {x!r} collide at {fn(x)!r}"))
     for name in sorted(sk.cones):
         _check_cone(R, sk.cones[name], out)
     return ValidationReport(tuple(out))
@@ -277,7 +276,7 @@ def _free_objects(sk: Sketch, tgt: Realization) -> list[str]:
     for name in sorted(sk.cones):
         apex_cone.setdefault(sk.cones[name].apex, sk.cones[name])
     free = {ob for ob in sk.objects if ob not in apex_cone or len(
-        _cone_index(tgt, ob, _legs(apex_cone[ob]))) < len(tgt.carrier[ob])}
+        _cone_index(tgt, ob, _legs(apex_cone[ob]).values())) < len(tgt.carrier[ob])}
     pinned = set(free)
     while True:
         ready = {apex for apex, cone in apex_cone.items() if apex not in pinned
@@ -346,28 +345,23 @@ def extend_morphism(
     return next(_extensions(src, tgt, [seed]))
 
 
-def _cone_index(R: Realization, apex: str, legs: tuple[str, ...]
+def _cone_index(R: Realization, apex: str, legs: Iterable[str]
                 ) -> dict[tuple[str, ...], str | None]:
     """The apex element over each tuple of images along the arrows ``legs``,
     None where several share the tuple: a lift is forced only when unique.
     Kept on the apex carrier while the legs are the same (weakly held)
     functions."""
-    carrier = R.carrier[apex]
+    carrier, legs = R.carrier[apex], tuple(legs)
     maps = [R.action[a] for a in legs]
     cache = carrier.__dict__.setdefault("_cone_indexes", {})
     hit = cache.get(legs)
     if hit is not None and all(r() is f for r, f in zip(hit[0], maps)):
         return hit[1]
     index: dict[tuple[str, ...], str | None] = {}
-    for y in carrier:
-        t = tuple(f.mapping[y] for f in maps)
+    for y, t in apex_tuples(carrier.elements, [f.mapping.get for f in maps]):
         index[t] = None if t in index else y
     cache[legs] = [weakref.ref(f) for f in maps], index
     return index
-
-
-def _legs(cone: Cone) -> tuple[str, ...]:
-    return tuple(cone.projections[n] for n in sorted(cone.projections))
 
 
 def _extensions(
@@ -390,7 +384,8 @@ def _extensions(
     for aid, decl in sk.arrows.items():
         arrows[decl.src].append((decl.tgt, src.action[aid].mapping, tgt.action[aid].mapping))
     lifts = [(sk.arrows[m].src, (m,)) for m in sorted(sk.monos)]
-    lifts += [(sk.cones[name].apex, _legs(sk.cones[name])) for name in sorted(sk.cones)]
+    lifts += [(sk.cones[name].apex, tuple(_legs(sk.cones[name]).values()))
+              for name in sorted(sk.cones)]
     for apex, legs in lifts:
         index = _cone_index(tgt, apex, legs)
         below = [(sk.arrows[a].tgt, src.action[a].mapping) for a in legs]

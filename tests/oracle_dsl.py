@@ -202,10 +202,10 @@ class _Parser:
             arrows.append((aid, src, tgt, a_tok))
 
         def equation(tok: _Tok) -> None:
-            lhs, _ = self.dotted()
+            lhs, left = self.dotted()
             self.expect("=")
-            rhs, _ = self.dotted()
-            equations.append((lhs, rhs, tok))
+            rhs, right = self.dotted()
+            equations.append((lhs, rhs, left or right, tok))
 
         self.entries("sketch", {
             "object": lambda tok: objects.append(self.named("object name")),

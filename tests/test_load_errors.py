@@ -1,0 +1,85 @@
+"""Load errors a user can act on: an ``id(OBJ)`` anchor is checked against
+where its path sits, and the command line names the file an issue is in."""
+
+import json
+
+import pytest
+
+from limsketch import dsl
+from limsketch.cli import corpus_dir, main
+
+MP_TEXT = (corpus_dir() / "mp.sk").read_text()
+
+
+def issues(text):
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse(text)
+    return [(i.line, i.col, i.message) for i in exc.value.issues]
+
+
+def test_equation_anchor_is_where_the_other_side_starts():
+    assert issues("sketch r { object A arrow f : A -> A eq f = id(Nope) }") \
+        == [(1, 38, "identity side id(Nope) is not at 'A', where the other "
+                    "side starts")]
+    # f.g runs from A back to A, so id(B) is at the wrong end
+    assert issues("sketch r { object A object B arrow f : A -> B\n"
+                  "  arrow g : B -> A\n  eq id(B) = f.g }") == [
+        (3, 3, "identity side id(B) is not at 'A', where the other side "
+               "starts")]
+
+
+def test_equation_with_the_right_anchor_loads_and_round_trips():
+    text = "sketch r { object A object B arrow f : A -> B arrow g : B -> A " \
+        "eq f.g = id(A) }"
+    sk = dsl.parse(text)[0]
+    assert sk.equations[0].rhs == ()
+    assert "eq f.g = id(A)" in dsl.serialize(sk)
+    assert dsl.parse(dsl.serialize(sk)) == [sk]
+
+
+def test_identity_image_anchor_is_the_image_of_the_source_object():
+    right = "arr h_c_IM => id(H_IM)"
+    assert right in MP_TEXT
+    line = MP_TEXT[:MP_TEXT.index(right)].count("\n") + 1
+    assert issues(MP_TEXT.replace(right, "arr h_c_IM => id(C_IM)")) == [
+        (line, 3, "identity image id(C_IM) of arrow 'h_c_IM' is not at "
+                  "'H_IM', the image of its source object")]
+    assert dsl.parse(MP_TEXT)
+
+
+def run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_parse_error_names_the_file(tmp_path, capsys):
+    mp = tmp_path / "mp.sk"
+    mp.write_text(MP_TEXT)
+    bad = tmp_path / "bad.sk"
+    bad.write_text("sketch bad {\n  object A\n  arrow f : A -> B\n}\n")
+    code, err = run(["validate", str(mp), str(bad)], capsys)
+    assert code == 2
+    assert err == f"error: {bad}:3:9: arrow 'f' references undeclared " \
+        f"object 'B'\n"
+    assert "mp.sk" not in err
+
+
+def test_json_parse_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.sk.json"
+    bad.write_text(json.dumps({
+        "kind": "sketch", "name": "x", "objects": ["A"],
+        "arrows": [{"id": "f", "src": "A", "tgt": "B"}], "monos": [],
+        "equations": [], "cones": []}))
+    code, err = run(["validate", str(bad)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {bad}:0:0: declaration 0: ")
+
+
+def test_parse_error_in_a_used_file_names_it(tmp_path, capsys):
+    bad = tmp_path / "bad.sk"
+    bad.write_text("sketch bad {\n  object\n}\n")
+    script = tmp_path / "proof.txt"
+    script.write_text(f"use {bad}\n")
+    code, err = run(["prove", str(script)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {bad}:3:1: ")
