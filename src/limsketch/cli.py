@@ -1,7 +1,8 @@
 """Command-line front end over corpus files.
 
-Exit codes: 0 success or clean report, 1 violations or a failed
-saturation-dependent check, 2 usage, IO, or parse errors.
+Exit codes: 0 success or clean report, 1 violations or a failed semantic
+check (any ``RuntimeError``), 2 usage, IO, parse or input errors (any
+``ValueError``).  Only :func:`main` turns an exception into an exit code.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from pathlib import Path
 from . import dsl
 from .engine import (
     ChaseConfig,
-    ChaseDiverged,
     apply_rule,
     compose_fractions,
     match_rule,
@@ -82,8 +82,9 @@ def _pick(decls, kind, name, what):
                    f"--{what.replace(' ', '-')}")
 
 
-def _rules_for(decls, spec, wanted_csv):
-    """Locate the localiser morphism for the spec's sketch, then filter."""
+def _rules_for(decls, spec, wanted_csv, read=None):
+    """Locate the localiser morphism for the spec's sketch, then filter;
+    ``read`` keeps each localiser's rules by the id of its morphism."""
     sources = [d for d in decls if isinstance(d, dsl.NamedMorphism)
                and d.morphism.src == spec.over]
     if not sources:
@@ -95,7 +96,11 @@ def _rules_for(decls, spec, wanted_csv):
         names = ", ".join(d.name for d in sources)
         raise CliError(f"several candidate localisers ({names}); keep one "
                        "in the loaded files")
-    rules = rules_of(as_localiser(sources[0].morphism))
+    read = {} if read is None else read
+    sigma = sources[0].morphism
+    if id(sigma) not in read:
+        read[id(sigma)] = rules_of(as_localiser(sigma))
+    rules = read[id(sigma)]
     if not wanted_csv:
         return list(rules)
     chosen = []
@@ -200,10 +205,7 @@ def cmd_break(args) -> int:
     sk = _pick(decls, Sketch, args.sketch, "sketch")
     plan = [a.strip() for a in args.plan.split(",")] if args.plan else None
     cycles = find_cycles(sk)
-    try:
-        sp, loc = break_cycles(sk, plan)
-    except ValueError as e:
-        raise CliError(str(e))
+    sp, loc = break_cycles(sk, plan)
     sp_named = dsl.canonical(dataclasses.replace(sp, name=f"{sk.name}_sp"))
     sigma = dsl.NamedMorphism(
         f"{sk.name}_sigma",
@@ -277,11 +279,7 @@ def cmd_apply(args) -> int:
         known = ", ".join(sorted(matches)) or "none"
         raise CliError(f"no match at {args.element!r} for rule {rule.id} "
                        f"(matches: {known})")
-    match = matches[args.element]
-    if match.satisfied:
-        raise CliError(f"match {args.element!r} is already satisfied; "
-                       "nothing to apply")
-    frac = apply_rule(spec.realization, rule, match)
+    frac = apply_rule(spec.realization, rule, matches[args.element])
     added = _added_elements(spec.realization, frac.tgt)
     if args.out:
         _write_spec(args.out, f"{spec.name}_step", frac.tgt)
@@ -304,6 +302,7 @@ def cmd_prove(args) -> int:
     spec = None
     fraction = None
     steps = 0
+    read: dict = {}
     lines = dsl.read_text(script).splitlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("//", 1)[0].strip()
@@ -321,15 +320,18 @@ def cmd_prove(args) -> int:
             if spec is None:
                 raise CliError(f"{where}: step before any 'spec' line")
             current = fraction.tgt if fraction is not None else spec
-            rules = _rules_for(decls, current, words[1])
+            rules = _rules_for(decls, current, words[1], read)
             if len(rules) != 1:
                 raise CliError(f"{where}: rule {words[1]!r} is ambiguous")
             rule = rules[0]
             matches = {m.element: m for m in match_rule(rule, current)}
-            if words[2] not in matches or matches[words[2]].satisfied:
+            if words[2] not in matches:
                 raise CliError(f"{where}: no unsatisfied match at "
                                f"{words[2]!r} for {rule.id}")
-            step = apply_rule(current, rule, matches[words[2]])
+            try:
+                step = apply_rule(current, rule, matches[words[2]])
+            except ValueError as e:
+                raise CliError(f"{where}: {e}") from e
             fraction = step if fraction is None else \
                 compose_fractions(fraction, step)
             steps += 1
@@ -354,13 +356,7 @@ def cmd_prove(args) -> int:
 def cmd_yoneda(args) -> int:
     decls = _load(args.files)
     sk = _pick(decls, Sketch, args.sketch, "sketch")
-    try:
-        rep = representable(sk, args.object)
-    except ValueError as e:
-        raise CliError(str(e))
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    rep = representable(sk, args.object)
     return _emit_spec(args, f"y_{args.object}", rep.spec)
 
 
@@ -485,6 +481,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a failure prints one ``error:`` line (one per
+    parse issue), any further lines of its message indented below it."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -493,15 +491,12 @@ def main(argv=None) -> int:
         for issue in e.issues:
             print(f"error: {where}{issue}", file=sys.stderr)
         return 2
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ChaseDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (CliError, OSError, ValueError) as e:
+        failure, code = e, 2
+    except RuntimeError as e:
+        failure, code = e, 1
+    print("error: " + str(failure).replace("\n", "\n  "), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

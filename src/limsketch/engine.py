@@ -146,10 +146,10 @@ def _repair_units(sk: Sketch) -> dict[str, list[tuple[object, _Reads]]]:
     totality check, which asks whether a value exists, skips the target.
     """
     def reads(arrows, objects=()) -> _Reads:
-        obs = set(objects)
+        obs = list(objects)
         for a in arrows:
-            obs.update((sk.arrows[a].src, sk.arrows[a].tgt))
-        return tuple(obs), tuple(set(arrows))
+            obs += (sk.arrows[a].src, sk.arrows[a].tgt)
+        return tuple(dict.fromkeys(obs)), tuple(dict.fromkeys(arrows))
 
     cones = [sk.cones[name] for name in sorted(sk.cones)]
     return {

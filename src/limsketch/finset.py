@@ -9,6 +9,7 @@ benchmark's tracer wraps them by name.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -320,12 +321,6 @@ class UnionFind:
         """One member per class, in the order the roots were added."""
         return [x for x, p in self.parent.items() if x == p]
 
-    def classes(self) -> dict[object, list[object]]:
-        by_root: dict[object, list[object]] = {}
-        for x in self.parent:
-            by_root.setdefault(self.find(x), []).append(x)
-        return by_root
-
 
 def pushout(f: FinFunction, g: FinFunction) -> tuple[FinSet, FinFunction, FinFunction]:
     """Pushout of B <-f- A -g-> C.
@@ -338,37 +333,23 @@ def pushout(f: FinFunction, g: FinFunction) -> tuple[FinSet, FinFunction, FinFun
     if f.dom != g.dom:
         raise ValueError("pushout legs must share their domain")
     B, C = f.cod, g.cod
-    uf = UnionFind([("b", x) for x in B] + [("c", x) for x in C])
+    members = [("b", x) for x in B] + [("c", y) for y in C]
+    uf = UnionFind(members)
     for a in f.dom:
         uf.union(("b", f(a)), ("c", g(a)))
 
-    order: list[object] = []
-    seen: set[object] = set()
-    for x in B:
-        r = uf.find(("b", x))
-        if r not in seen:
-            seen.add(r)
-            order.append(r)
-    for y in C:
-        r = uf.find(("c", y))
-        if r not in seen:
-            seen.add(r)
-            order.append(r)
+    # the members of each class, the classes in order of their first member
+    classes: dict[object, list[tuple[str, str]]] = {}
+    for m in members:
+        classes.setdefault(uf.find(m), []).append(m)
+    bare = [min(n for _, n in ms) for ms in classes.values()]
+    claimed = Counter(bare)
+    labels = [n if claimed[n] == 1 else
+              "{}.{}".format(*min(ms, key=lambda m: (m[1], m[0])))
+              for n, ms in zip(bare, classes.values())]
+    name = {m: n for n, ms in zip(labels, classes.values()) for m in ms}
 
-    classes = uf.classes()
-    bare: dict[object, str] = {r: min(n for _, n in classes[r]) for r in order}
-    claimed: dict[str, int] = {}
-    for r in order:
-        claimed[bare[r]] = claimed.get(bare[r], 0) + 1
-    names: dict[object, str] = {}
-    for r in order:
-        if claimed[bare[r]] == 1:
-            names[r] = bare[r]
-        else:
-            tag, n = min(classes[r], key=lambda m: (m[1], m[0]))  # type: ignore[index]
-            names[r] = f"{tag}.{n}"
-
-    P = FinSet(tuple(names[r] for r in order))
-    inj_b = FinFunction(B, P, {x: names[uf.find(("b", x))] for x in B})
-    inj_c = FinFunction(C, P, {y: names[uf.find(("c", y))] for y in C})
+    P = FinSet(tuple(labels))
+    inj_b = FinFunction(B, P, {x: name["b", x] for x in B})
+    inj_c = FinFunction(C, P, {y: name["c", y] for y in C})
     return P, inj_b, inj_c

@@ -66,11 +66,10 @@ def congruence_closure(s: FinSet, pairs: Iterable[tuple[str, str]]) -> dict[str,
         if a not in s or b not in s:
             raise ValueError(f"congruence pair ({a}, {b}) mentions elements outside the set")
         uf.union(a, b)
-    rep: dict[str, str] = {}
-    for members in uf.classes().values():
-        least = min(members)  # type: ignore[type-var]
-        for m in members:
-            rep[m] = least  # type: ignore[index]
+    classes: dict[object, list[str]] = {}
+    for x in s.elements:
+        classes.setdefault(uf.find(x), []).append(x)
+    rep = {m: min(members) for members in classes.values() for m in members}
     return {x: rep[x] for x in s.elements}
 
 

@@ -1,0 +1,80 @@
+"""How the command line reports a failure: one ``error:`` line, no traceback.
+
+A ``RuntimeError`` of the library (a failed semantic check, such as a spec
+that is not cone-valid) exits 1; a ``ValueError`` (bad input, such as an
+invalid sketch morphism or a redundant proof step) exits 2.
+"""
+
+from limsketch import cli
+from limsketch.cli import corpus_dir, main
+
+MP = str(corpus_dir() / "mp.sk")
+BANK = corpus_dir() / "bank.sk"
+
+# mp_basic without the pair q_q of H_IM: the cone lim_H_IM has no apex
+# element over (q, q), so no rule match has a classifying morphism
+NOT_CONE_VALID = "".join(
+    line for line in (corpus_dir() / "mp.sk").read_text().splitlines(True)
+    if line.strip() not in ("elem q_q : H_IM", "act p1(q_q) = q",
+                            "act p2(q_q) = q"))
+
+
+def failure(argv, capsys, code):
+    """Run ``argv``, expect exit ``code`` and one error line; return it."""
+    got = main(argv)
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+def test_apply_on_a_spec_that_is_not_cone_valid_exits_one(tmp_path, capsys):
+    spec = tmp_path / "mp.sk"
+    spec.write_text(NOT_CONE_VALID)
+    line = failure(["apply", str(spec), "IM", "p_p"], capsys, 1)
+    assert "cone-valid" in line
+
+
+def test_prove_on_a_spec_that_is_not_cone_valid_exits_one(tmp_path,
+                                                          capsys):
+    (tmp_path / "mp.sk").write_text(NOT_CONE_VALID)
+    script = tmp_path / "proof.txt"
+    script.write_text("use mp.sk\nspec mp_basic\nstep MP m0\n")
+    line = failure(["prove", str(script)], capsys, 1)
+    assert "cone-valid" in line
+
+
+def test_transport_along_an_invalid_morphism_exits_two(tmp_path, capsys):
+    bank = tmp_path / "bank.sk"
+    bank.write_text(BANK.read_text().replace("arr balance => balance_a",
+                                             "arr balance => deposit_m"))
+    line = failure(["transport", str(bank), "--morphism",
+                    "forget_decorations", "--spec", "acct_decorated"],
+                   capsys, 2)
+    assert "invalid sketch morphism" in line
+
+
+def test_prove_step_at_a_satisfied_match_exits_two(tmp_path, capsys):
+    script = tmp_path / "proof.txt"
+    script.write_text(f"use {MP}\nspec mp_basic\nstep IM p_q\n")
+    line = failure(["prove", str(script)], capsys, 2)
+    assert f"{script}:3:" in line
+    assert "already satisfied" in line
+
+
+def test_prove_reads_the_localiser_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    read = cli.rules_of
+
+    def counted(loc):
+        calls.append(loc)
+        return read(loc)
+
+    monkeypatch.setattr(cli, "rules_of", counted)
+    script = tmp_path / "proof.txt"
+    script.write_text(f"use {MP}\nspec mp_basic\nstep MP m0\nstep IM p_p\n")
+    assert main(["prove", str(script)]) == 0
+    assert capsys.readouterr().out.startswith("proof of 2 step(s)")
+    assert len(calls) == 1
