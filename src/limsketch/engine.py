@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Callable
+from itertools import filterfalse, islice
+from typing import Callable, Iterable
 
 from .finset import (
     FinFunction,
@@ -22,6 +22,7 @@ from .finset import (
     identity,
     is_bijection,
     join,
+    join_new,
 )
 from .localizer import Localiser
 from .realization import (
@@ -50,6 +51,15 @@ class ChaseDiverged(RuntimeError):
     example a one-way rule arrow that was never broken), so the free
     closure of even a single generator is infinite.
     """
+
+
+def _families(fams: Iterable, known: int = 0) -> list[tuple[str, ...]]:
+    """``fams`` as a list, if they and ``known`` are within the budget."""
+    out = list(islice(fams, _MAX_ELEMENTS - known + 1))
+    if known + len(out) > _MAX_ELEMENTS:
+        raise ChaseDiverged(
+            "cone family enumeration exceeded the chase budget")
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,7 +181,7 @@ class _Chase:
     names survive identification with freshly created ones.  Action tables
     are keyed by representatives; reads resolve values, never write back.
 
-    Repair is semi-naive.  A clock ticks on every change (a batch of
+    Repair skips whole units.  A clock ticks on every change (a batch of
     elements created, a merge, a batch of action values written, an
     identification queued), and each object and arrow keeps the tick of its
     own last change.  A repair unit (one equation, mono, cone, or arrow's
@@ -179,7 +189,9 @@ class _Chase:
     until something it reads changes, since rerunning it would change
     nothing either.  This carries over between states: a realization
     extracted while every unit is clean is marked repaired, and a state
-    built from a marked one starts with every unit clean.
+    built from a marked one starts with every unit clean.  A cone that runs
+    again in one state is semi-naive: it joins only the families with a
+    value its last run did not see (:meth:`_delta`).
 
     Seeding is not a change: the clock and every stamp start at 0.  A state
     seeded from a realization, its ``base``, shares with it each carrier
@@ -207,6 +219,8 @@ class _Chase:
         }
         self.lookups = {a: self._lookup(a) for a in sk.arrows}
         self.joins: dict[str, tuple] = {}
+        self.kept: dict[str, tuple] = {}
+        self.merged = dict.fromkeys(sk.objects, 0)
         self.pending: deque[tuple[str, str, str]] = deque()
         self.round_added: dict[str, list[str]] = {ob: [] for ob in sk.objects}
         self.round_identified: list[tuple[str, str, str]] = []
@@ -317,6 +331,7 @@ class _Chase:
             keep, drop = roots
             self.round_identified.append((ob, keep, drop))
             self._touch_object(ob)
+            self.merged[ob] = self.clock
             for aid in self.out_arrows[ob]:
                 table = self.act[aid]
                 moved = table.pop(drop, None)
@@ -392,24 +407,35 @@ class _Chase:
 
     def _repair_cone(self, cone: Cone) -> None:
         if cone.name not in self.joins:
-            self.joins[cone.name] = cone_reader(cone, self.lookups.__getitem__)
-        plan, objects, paths, legs, _ = self.joins[cone.name]
-        # Apex elements by their projection tuples, where all exist.
-        seen, clashing = clashes(apex_tuples(self.reps(cone.apex), legs))
-        # Base families by restriction, their prefix over the projected
-        # nodes: the first family of each, and any others.
-        reps = {ob: self.reps(ob) for ob in set(objects)}
-        first: dict[tuple[str, ...], tuple[str, ...]] = {}
-        others: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+            self.joins[cone.name] = (
+                *cone_reader(cone, self.lookups.__getitem__),
+                *next(r for c, r in self.units["cone"] if c is cone))
+        plan, objects, paths, legs, _, obs, arrows = self.joins[cone.name]
         k = len(legs)
-        for count, fam in enumerate(
-                join(plan, [reps[ob] for ob in objects], paths)):
-            if count >= _MAX_ELEMENTS:
-                raise ChaseDiverged(
-                    "cone family enumeration exceeded the chase budget")
-            key = fam[:k]
-            if first.setdefault(key, fam) is not fam:
-                others.setdefault(key, []).append(fam)
+        mark = (self.clock, {ob: len(self.uf[ob].parent) for ob in obs},
+                {a: len(self.act[a]) for a in arrows})
+        kept = self.kept.pop(cone.name, None)
+        delta = kept and self._delta(cone, kept)
+        others: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        if delta is None:
+            # Apex elements by their projection tuples, where all exist.
+            seen, clashing = clashes(apex_tuples(self.reps(cone.apex), legs))
+            # Base families by restriction, their prefix over the projected
+            # nodes: the first family of each, and any others.
+            cands = {ob: self.reps(ob) for ob in set(objects)}
+            buckets, first, count = {}, {}, 0
+            for fam in _families(join(plan, [cands[ob] for ob in objects],
+                                      paths, (), buckets)):
+                key = fam[:k]
+                if first.setdefault(key, fam) is not fam:
+                    others.setdefault(key, []).append(fam)
+            tuples = seen
+        else:
+            # Read only new apex elements and families with a new value.
+            (_, _, seen, cands, buckets, count), (first, new) = kept, delta
+            known = len(seen)
+            seen, clashing = clashes(apex_tuples(new, legs), seen)
+            tuples = list(islice(seen, known, None))
         # Ambiguous extensions: merge the competing families pointwise, node
         # by node in name order.
         if others:
@@ -427,11 +453,43 @@ class _Chase:
         xs = self.fresh_many(cone.apex, len(missing))
         for n, column in zip(keys, zip(*missing)):
             self.write_many(cone.projections[n], dict(zip(xs, column)))
+        seen.update(zip(missing, xs))
         # Unrealised tuples: build the missing family from scratch.
-        for t in seen:
-            if t not in first:
-                self._create_family(cone, dict(zip(keys, t)))
+        unrealised = [t for t in tuples if t not in first]
+        for t in unrealised:
+            self._create_family(cone, dict(zip(keys, t)))
+        self.kept[cone.name] = (mark, len(self.uf[cone.apex].parent), seen,
+                                cands, buckets, count + len(first))
         self.drain()
+
+    def _delta(self, cone: Cone, kept: tuple) -> tuple | None:
+        """Bring ``kept`` up to date; return the new families in full-join
+        order and the apex elements made since.  None to join in full: after
+        a merge in a read object or a write at an old element of a read
+        arrow, with as many new base elements as old, or on a shared key."""
+        (at, sizes, counts), apex, seen, cands, buckets, count = kept
+        if any(self.merged[ob] > at for ob in sizes) or sum(
+                len(self.uf[ob].parent) - sizes[ob] for ob in cands) >= sum(
+                map(len, cands.values())):
+            return None
+        new = {ob: self.uf[ob].since(m) for ob, m in sizes.items()}
+        if any(len(self.act[a]) - m != sum(map(
+                self.act[a].__contains__, new[self.sk.arrows[a].src]))
+               for a, m in counts.items()):
+            return None
+        plan, objects, paths, _, seeded, _, _ = self.joins[cone.name]
+        for ob, xs in cands.items():
+            xs += new[ob]
+        # The full join yields families by each pick's candidate position.
+        fams = sorted(_families(join_new(
+            lambda i: seeded(plan.nodes[i:i + 1]),
+            [cands[ob] for ob in objects], [new[ob] for ob in objects],
+            paths, buckets), count), key=lambda fam: [
+                self.uf[objects[p]].birth[fam[p]] for p, _, _ in plan.steps])
+        fresh = {fam[:len(cone.projections)]: fam for fam in fams}
+        if len(fresh) < len(fams) or any(map(seen.__contains__, fresh)):
+            return None
+        return fresh, self.uf[cone.apex].since(apex)
 
     def _create_family(self, cone: Cone, values: dict[str, str]) -> None:
         """Realise a family extending ``values`` (the projected nodes)."""
@@ -452,6 +510,8 @@ class _Chase:
 
     def repair(self, full: bool) -> None:
         """Sweep the pass kinds until a sweep leaves the clock unchanged."""
+        if not full:
+            self.kept.clear()
         for _ in range(_MAX_PASSES):
             start = self.clock
             self._pass("equation", self._repair_equation)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -131,7 +132,8 @@ def plan_join(nodes: Sequence[str], edges: Sequence[tuple[str, str]],
     Picks go highest out-degree first, ties by name, so that each pick's
     edges fill or rule out as much as they can early.  A pick takes its
     candidates from the bucket of its first edge (in edge order) into an
-    assigned node, if it has one.
+    assigned node, if it has one.  A seeded plan takes such a pick before
+    any other, so that a join from a few values stays near them.
     """
     index = {n: i for i, n in enumerate(nodes)}
     ends = [(index[s], index[t]) for s, t in edges]
@@ -154,13 +156,18 @@ def plan_join(nodes: Sequence[str], edges: Sequence[tuple[str, str]],
             ops.append((e, s, t, t not in assigned))
             assigned.add(t)
 
+    def via_of(pick: int) -> int | None:
+        return next((e for e in pending
+                     if ends[e][0] == pick and ends[e][1] in assigned), None)
+
     start = new_ops()
     steps = []
-    for pick in sorted(range(len(nodes)), key=lambda i: (-out_deg[i], nodes[i])):
-        if pick in assigned:
-            continue
-        via = next((e for e in pending
-                    if ends[e][0] == pick and ends[e][1] in assigned), None)
+    order = sorted(range(len(nodes)), key=lambda i: (-out_deg[i], nodes[i]))
+    while len(assigned) < len(nodes):
+        free = [i for i in order if i not in assigned]
+        pick = next((i for i in free if via_of(i) is not None),
+                    free[0]) if seeded else free[0]
+        via = via_of(pick)
         if via is not None:
             pending.remove(via)
         assigned.add(pick)
@@ -173,7 +180,7 @@ def join(
     candidates: Sequence[Sequence[str]],
     lookups: Sequence[Callable[[str], str | None]],
     seed: Sequence[str] = (),
-    buckets: dict[int, dict[str, list[str]]] | None = None,
+    buckets: dict[int, tuple[dict[str, list[str]], int]] | None = None,
 ) -> Iterator[tuple[str, ...]]:
     """Run ``plan``: yield every compatible family as a tuple over ``plan.nodes``.
 
@@ -181,8 +188,9 @@ def join(
     edges; a lookup returning None (undefined) rules the family out.
     ``seed`` gives the seeded nodes their values, which are not checked
     against their candidates.  ``buckets`` caches each via edge's preimage
-    buckets; a caller that runs one plan on unchanged candidates and
-    lookups may pass the same dict to every run.
+    buckets with the number of candidates they cover; a caller may pass the
+    same dict to every run of plans over these nodes and edges while the
+    candidates only grow at their ends and the lookups at the old ones stay.
 
     The steps walk one assignment list, depth first: a value assigned at
     one depth stays until that depth assigns again.
@@ -207,14 +215,15 @@ def join(
         if via is None:
             return candidates[pick]
         e, t = via
-        bucket = buckets.get(e)
-        if bucket is None:
-            bucket = buckets[e] = {}
+        bucket, done = buckets.get(e) or ({}, 0)
+        vs = candidates[pick]
+        if done < len(vs):
             f = lookups[e]
-            for v in candidates[pick]:
+            for v in vs[done:]:
                 w = f(v)
                 if w is not None:
                     bucket.setdefault(w, []).append(v)
+            buckets[e] = bucket, len(vs)
         return bucket.get(val[t], ())
 
     steps = [(pick, [(lookups[e], s, t, fills) for e, s, t, fills in ops])
@@ -243,6 +252,32 @@ def join(
             continue
         depth += 1
         its[depth] = iter(source(depth))
+
+
+def join_new(
+    seeded: Callable[[int], JoinPlan],
+    candidates: Sequence[Sequence[str]],
+    new: Sequence[Sequence[str]],
+    lookups: Sequence[Callable[[str], str | None]],
+    buckets: dict[int, tuple[dict[str, list[str]], int]] | None = None,
+) -> Iterator[tuple[str, ...]]:
+    """Yield, once each, the families with a value in ``new``.
+
+    ``new[i]`` are the last values of ``candidates[i]``, the ones a caller
+    has not joined yet.  Node i takes a new value, the nodes before it old
+    ones and the nodes after it any, by ``seeded(i)``, a plan over these
+    nodes and edges seeded at node i.  Families come by their first node
+    with a new value, then in the order of that plan.
+    """
+    for i, vs in enumerate(new):
+        if not vs:
+            continue
+        plan = seeded(i)
+        earlier = [(j, set(new[j])) for j in range(i) if new[j]]
+        for v in vs:
+            for fam in join(plan, candidates, lookups, (v,), buckets):
+                if not any(fam[j] in d for j, d in earlier):
+                    yield fam
 
 
 def compose_partial(
@@ -320,6 +355,11 @@ class UnionFind:
     def roots(self) -> list[object]:
         """One member per class, in the order the roots were added."""
         return [x for x, p in self.parent.items() if x == p]
+
+    def since(self, n: int) -> list[object]:
+        """The elements added after the first ``n``, in order."""
+        p = self.parent
+        return list(islice(p, n, None)) if len(p) > n else []
 
 
 def pushout(f: FinFunction, g: FinFunction) -> tuple[FinSet, FinFunction, FinFunction]:

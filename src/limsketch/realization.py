@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .finset import (
@@ -67,16 +66,18 @@ def cone_reader(cone: Cone, lookup: Callable[[str], Callable]) -> tuple:
     Returns the join plan over the base nodes in family order (the
     projected nodes in leg order, then the rest sorted, so that a family's
     restriction is its prefix), each node's object, one partial function
-    per edge path and one per leg, and a thunk for the plan seeded at the
-    projected nodes.
+    per edge path and one per leg, and a function planning the join seeded
+    at the nodes it is given (a tuple), each plan made once.
     """
     legs = _legs(cone)
     nodes = [*legs, *sorted(cone.nodes.keys() - legs.keys())]
     edges = [(e.src, e.tgt) for e in cone.edges]
+    plans: dict = {}
     return (plan_join(nodes, edges), [cone.nodes[n] for n in nodes],
             [compose_partial([lookup(a) for a in e.path]) for e in cone.edges],
             [lookup(a) for a in legs.values()],
-            partial(plan_join, nodes, edges, list(legs)))
+            lambda at: plans.get(at) or plans.setdefault(
+                at, plan_join(nodes, edges, at)))
 
 
 def apex_tuples(elements: Sequence[str], legs: Sequence[Callable]) -> Iterator:
@@ -86,11 +87,13 @@ def apex_tuples(elements: Sequence[str], legs: Sequence[Callable]) -> Iterator:
     return zip(elements, zip(*columns) if columns else [()] * len(elements))
 
 
-def clashes(tuples: Iterable) -> tuple[dict, list[tuple[str, str]]]:
+def clashes(tuples: Iterable, first: dict | None = None) -> tuple[
+        dict, list[tuple[str, str]]]:
     """The first element over each defined tuple (one without None), and
     each later element over it paired with that first one: the pairs a
-    comparison that is injective must identify."""
-    first: dict[tuple, str] = {}
+    comparison that is injective must identify.  ``first`` holds what
+    earlier elements gave, and is extended in place."""
+    first = {} if first is None else first
     pairs: list[tuple[str, str]] = []
     for x, t in tuples:
         if None not in t:
@@ -110,7 +113,7 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     enumerated by then is looked up with its projections pinned.
     """
     where = f"cone {cone.name}"
-    plan, objects, paths, legs, pin = cone_reader(
+    plan, objects, paths, legs, seeded = cone_reader(
         cone, lambda a: R.action[a].mapping.get)
     k = len(legs)
     candidates = [R.carrier[ob].elements for ob in objects]
@@ -126,8 +129,8 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
             break
     # Once counts are partial, an apex tuple not among them is looked up
     # by one plan seeded at the projected nodes, with shared buckets.
-    pinned_plan = None if complete else pin()
-    buckets: dict[int, dict[str, list[str]]] = {}
+    pinned_plan = None if complete else seeded(plan.nodes[:k])
+    buckets: dict = {}
     carriers = [R.carrier[ob] for ob in objects[:k]]
 
     def pinned(t: tuple[str, ...]) -> bool:

@@ -62,7 +62,7 @@ def test_mp_basic_capped_matches_oracle(rules):
 
 def test_chains_match_oracle():
     env = workloads.Env(limsketch, {}, SP, RULES, MP_RULE, Path("."))
-    for n in range(3, 13):
+    for n in [*range(3, 13), 20]:
         assert_same_chase(workloads.chain(env, n, n), [MP_RULE],
                           ChaseConfig(max_rounds=n + 1))
 

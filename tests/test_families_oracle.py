@@ -5,12 +5,13 @@ assignment; ``oracle_chase.families`` is the recursive propagate-and-search
 it replaced.  Fresh chase names follow the order in which families come out,
 so the two must agree on the order as well as on the families.  A plan
 seeded at some nodes must yield the oracle's families that agree with the
-seed.
+seed, and ``join_new`` the ones with a value among the candidates added
+last.
 """
 
 import random
 
-from limsketch.finset import FinFunction, join, plan_join
+from limsketch.finset import FinFunction, join, join_new, plan_join
 from limsketch.realization import Realization, check_realization
 from limsketch.sketch import ArrowDecl, Cone, ConeEdge, Sketch
 
@@ -108,6 +109,46 @@ def test_seeded_plans_keep_the_families_that_agree_with_the_seed():
                                      if [fam[n] for n in seeded] == seed)
         found += bool(got and edges)
     assert found > 120
+
+
+def test_join_new_yields_each_family_with_a_new_value_once():
+    # Each node's candidates come in three parts, and an edge maps no value
+    # to one of a later part, as in a chase state that grew twice.  Each
+    # join_new must grow the buckets the joins before it built.
+    rng = random.Random(8123)
+    found = 0
+    for _ in range(3000):
+        nodes, edges = random_diagram(rng)
+        names = sorted(nodes)
+        cuts = {n: sorted(rng.randint(0, len(nodes[n])) for _ in range(2))
+                for n in names}
+
+        def part(n, x):
+            return sum(nodes[n].index(x) >= c for c in cuts[n])
+        edges = [(s, t, {x: y for x, y in m.items()
+                         if x in nodes[s] and y in nodes[t]
+                         and part(t, y) <= part(s, x)}) for s, t, m in edges]
+        ends = [(s, t) for s, t, _ in edges]
+        lookups = [m.get for _, _, m in edges]
+        buckets: dict = {}
+        got = list(join(plan_join(names, ends),
+                        [nodes[n][:cuts[n][0]] for n in names], lookups, (),
+                        buckets))
+        ends_of = {n: [*cuts[n], None] for n in names}
+        for stage in (0, 1):
+            grown = bool(buckets)
+            new = list(join_new(
+                lambda i: plan_join(names, ends, names[i:i + 1]),
+                [nodes[n][:ends_of[n][stage + 1]] for n in names],
+                [nodes[n][cuts[n][stage]:ends_of[n][stage + 1]]
+                 for n in names], lookups, buckets))
+            found += bool(grown and new)
+            got += new
+        want = [tuple(fam[n] for n in names) for fam in oracle_chase.families(
+            nodes, [(s, t, m.get) for s, t, m in edges])]
+        assert len(set(got)) == len(got)
+        assert sorted(got) == sorted(want)
+    assert found > 20
 
 
 def test_stopped_check_respects_a_pinned_node_that_an_edge_reaches():
