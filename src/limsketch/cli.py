@@ -121,15 +121,6 @@ def _carrier_sizes(spec):
     return {ob: len(spec.carrier[ob].elements) for ob in spec.over.objects}
 
 
-def _added_elements(src, tgt):
-    out = {}
-    for ob in tgt.over.objects:
-        new = [x for x in tgt.carrier[ob] if x not in src.carrier[ob]]
-        if new:
-            out[ob] = new
-    return out
-
-
 def _write_spec(out_dir, name, spec):
     """Write a self-contained file: the sketch plus the named spec."""
     path = Path(out_dir) / f"{name}.sk"
@@ -266,32 +257,45 @@ def cmd_saturate(args) -> int:
     return 0
 
 
-def cmd_apply(args) -> int:
-    decls = _load(args.files)
-    spec = _pick(decls, dsl.NamedSpec, args.spec, "spec")
-    rules = _rules_for(decls, spec.realization, args.rule)
+def _step(decls, spec, token, element, read=None):
+    """Apply the one rule that ``token`` selects at the match ``element``
+    of ``spec``; return the rule and the step's fraction."""
+    rules = _rules_for(decls, spec, token, read)
     if len(rules) != 1:
-        raise CliError(f"rule {args.rule!r} does not select exactly one "
-                       "rule")
-    rule = rules[0]
-    matches = {m.element: m for m in match_rule(rule, spec.realization)}
-    if args.element not in matches:
+        raise CliError(f"rule {token!r} does not select exactly one rule")
+    matches = {m.element: m for m in match_rule(rules[0], spec)}
+    if element not in matches:
         known = ", ".join(sorted(matches)) or "none"
-        raise CliError(f"no match at {args.element!r} for rule {rule.id} "
-                       f"(matches: {known})")
-    frac = apply_rule(spec.realization, rule, matches[args.element])
-    added = _added_elements(spec.realization, frac.tgt)
+        raise CliError(f"no match at {element!r} for rule {rules[0].id}, so "
+                       f"no unsatisfied match there (matches: {known})")
+    return rules[0], apply_rule(spec, rules[0], matches[element])
+
+
+def _report(args, spec, frac, name, head, doc) -> int:
+    """Write ``frac.tgt`` to ``--out`` as ``name``, then print what it adds
+    to ``spec``: as JSON after the keys of ``doc``, or below ``head``."""
+    tgt = frac.tgt
+    added = {ob: [x for x in tgt.carrier[ob] if x not in spec.carrier[ob]]
+             for ob in tgt.over.objects}
+    added = {ob: xs for ob, xs in added.items() if xs}
     if args.out:
-        _write_spec(args.out, f"{spec.name}_step", frac.tgt)
+        _write_spec(args.out, name, tgt)
     if args.format == "json":
-        _print_json({"rule": rule.id, "match": args.element,
-                     "certificate": frac.certificate, "added": added})
+        _print_json({**doc, "certificate": frac.certificate, "added": added})
     else:
-        print(f"applied {rule.id} at {args.element} "
-              f"({frac.certificate})")
+        print(f"{head} ({frac.certificate})")
         for ob in sorted(added):
             print(f"add {ob} " + " ".join(added[ob]))
     return 0
+
+
+def cmd_apply(args) -> int:
+    decls = _load(args.files)
+    spec = _pick(decls, dsl.NamedSpec, args.spec, "spec")
+    rule, frac = _step(decls, spec.realization, args.rule, args.element)
+    return _report(args, spec.realization, frac, f"{spec.name}_step",
+                   f"applied {rule.id} at {args.element}",
+                   {"rule": rule.id, "match": args.element})
 
 
 def cmd_prove(args) -> int:
@@ -320,17 +324,9 @@ def cmd_prove(args) -> int:
             if spec is None:
                 raise CliError(f"{where}: step before any 'spec' line")
             current = fraction.tgt if fraction is not None else spec
-            rules = _rules_for(decls, current, words[1], read)
-            if len(rules) != 1:
-                raise CliError(f"{where}: rule {words[1]!r} is ambiguous")
-            rule = rules[0]
-            matches = {m.element: m for m in match_rule(rule, current)}
-            if words[2] not in matches:
-                raise CliError(f"{where}: no unsatisfied match at "
-                               f"{words[2]!r} for {rule.id}")
             try:
-                step = apply_rule(current, rule, matches[words[2]])
-            except ValueError as e:
+                _, step = _step(decls, current, words[1], words[2], read)
+            except (CliError, ValueError) as e:
                 raise CliError(f"{where}: {e}") from e
             fraction = step if fraction is None else \
                 compose_fractions(fraction, step)
@@ -340,17 +336,8 @@ def cmd_prove(args) -> int:
     if spec is None or fraction is None:
         raise CliError("script must name a spec and apply at least one "
                        "step")
-    added = _added_elements(spec, fraction.tgt)
-    if args.out:
-        _write_spec(args.out, "proved", fraction.tgt)
-    if args.format == "json":
-        _print_json({"steps": steps, "certificate": fraction.certificate,
-                     "added": added})
-    else:
-        print(f"proof of {steps} step(s) ({fraction.certificate})")
-        for ob in sorted(added):
-            print(f"add {ob} " + " ".join(added[ob]))
-    return 0
+    return _report(args, spec, fraction, "proved",
+                   f"proof of {steps} step(s)", {"steps": steps})
 
 
 def cmd_yoneda(args) -> int:

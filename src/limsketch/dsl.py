@@ -826,10 +826,11 @@ def _serialize_morphism(decl: NamedMorphism) -> str:
 
 
 def _serialize_config(decl: NamedConfig) -> str:
+    rules = _config_doc(decl)["rules"]
     lines = [f"config {decl.name} {{",
              f"  max_rounds = {decl.config.max_rounds}"]
-    if decl.config.rule_subset is not None:
-        lines.append(f"  rules = {', '.join(decl.config.rule_subset)}")
+    if rules is not None:
+        lines.append(f"  rules = {', '.join(rules)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -843,15 +844,9 @@ def serialize(decl) -> str:
     canonical file reproduces it byte for byte.  Specification carriers
     keep their declaration order because element order is meaningful.
     """
-    if isinstance(decl, Sketch):
-        return _serialize_sketch(decl)
-    if isinstance(decl, NamedSpec):
-        return _serialize_spec(decl)
-    if isinstance(decl, NamedMorphism):
-        return _serialize_morphism(decl)
-    if isinstance(decl, NamedConfig):
-        return _serialize_config(decl)
-    raise TypeError(f"cannot serialize {type(decl).__name__}")
+    if type(decl) not in _DECLARATIONS:
+        raise TypeError(f"cannot serialize {type(decl).__name__}")
+    return _DECLARATIONS[type(decl)][0](decl)
 
 
 def serialize_file(decls) -> str:
@@ -951,25 +946,33 @@ def _morphism_doc(decl: NamedMorphism) -> dict:
 
 
 def _config_doc(decl: NamedConfig) -> dict:
+    """Both writers read a config's rules here: an empty list of them
+    parses back in neither format, so it is refused."""
+    rules = decl.config.rule_subset
+    if rules == ():
+        raise ValueError(f"config {decl.name!r} lists no rules, so neither "
+                         "format can write it")
     return {
         "kind": "config",
         "name": decl.name,
         "max_rounds": decl.config.max_rounds,
-        "rules": list(decl.config.rule_subset)
-        if decl.config.rule_subset is not None else None,
+        "rules": None if rules is None else list(rules),
     }
+
+
+# the four declaration types, each with its text and its JSON writer
+_DECLARATIONS = {
+    Sketch: (_serialize_sketch, _sketch_doc),
+    NamedSpec: (_serialize_spec, _spec_doc),
+    NamedMorphism: (_serialize_morphism, _morphism_doc),
+    NamedConfig: (_serialize_config, _config_doc),
+}
 
 
 def to_jsonable(x):
     """Translate a declaration, report, or chase result to plain data."""
-    if isinstance(x, Sketch):
-        return _sketch_doc(x)
-    if isinstance(x, NamedSpec):
-        return _spec_doc(x)
-    if isinstance(x, NamedMorphism):
-        return _morphism_doc(x)
-    if isinstance(x, NamedConfig):
-        return _config_doc(x)
+    if type(x) in _DECLARATIONS:
+        return _DECLARATIONS[type(x)][1](x)
     if isinstance(x, ValidationReport):
         return [
             {"severity": v.severity, "code": v.code, "where": v.where,

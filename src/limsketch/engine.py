@@ -812,6 +812,10 @@ def check_fraction(frac: Fraction, rules: list[Rule],
     Saturates the source and the middle object under the same rules and
     requires the induced map between the two theories to be an
     isomorphism.  Raises ``RuntimeError`` with the reason otherwise.
+
+    The caller passes the round budget in ``cfg``; a capped saturation
+    makes the check inconclusive, so under the default 32 rounds an
+    n-step modus ponens chain proof passes only up to n = 31.
     """
     sat_src = saturate(frac.src, rules, cfg)
     sat_mid = saturate(frac.mid, rules, cfg)

@@ -68,6 +68,16 @@ def limit_tuples(d: FinDiagram) -> set[tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def test_diagram_edges_must_meet_their_nodes():
+    A, B = finset(["a"]), finset(["b"])
+    f = FinFunction(A, B, {"a": "b"})
+    with pytest.raises(ValueError, match="edge f references unknown node"):
+        FinDiagram({"A": A}, {"f": ("A", "B", f)})
+    with pytest.raises(ValueError,
+                       match="edge f function does not match its endpoints"):
+        FinDiagram({"A": A, "B": B}, {"f": ("B", "A", f)})
+
+
 def test_limit_empty_diagram_is_terminal():
     lim, projs = limit(FinDiagram({}, {}))
     assert len(lim) == 1

@@ -14,6 +14,7 @@ import pytest
 
 import limsketch
 from limsketch.engine import (
+    ChaseConfig,
     Fraction,
     apply_rule,
     check_fraction,
@@ -68,3 +69,22 @@ def test_modus_ponens_is_the_fraction_conclusion_over_hypothesis():
     frac = Fraction(r.hypothesis, r.conclusion, r.glue, r.hyp_to_glue,
                     r.concl_to_glue, "checked")
     check_fraction(frac, [MP_RULE])
+
+
+def chain_proof(n):
+    """The n modus ponens steps of ``workloads.chain``, composed."""
+    proof = step(workloads.chain(ENV, n, n), MP_RULE)
+    for _ in range(n - 1):
+        proof = compose_fractions(proof, step(proof.tgt, MP_RULE))
+    return proof
+
+
+def test_check_fraction_stops_at_the_round_cap_the_caller_passes():
+    # under the default ChaseConfig both saturations stop at 32 rounds
+    assert ChaseConfig().max_rounds == 32
+    check_fraction(chain_proof(31), [MP_RULE])
+    proof = chain_proof(32)
+    with pytest.raises(RuntimeError,
+                       match="fraction check inconclusive: saturation capped"):
+        check_fraction(proof, [MP_RULE])
+    check_fraction(proof, [MP_RULE], ChaseConfig(max_rounds=33))

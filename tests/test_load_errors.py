@@ -1,5 +1,6 @@
-"""Load errors a user can act on: an ``id(OBJ)`` anchor is checked against
-where its path sits, and the command line names the file an issue is in."""
+"""Load errors a user can act on: each issue is located, an ``id(OBJ)``
+anchor is checked against where its path sits, the command line names the
+file an issue is in, and neither writer writes what the loaders refuse."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from limsketch import dsl
 from limsketch.cli import corpus_dir, main
+from limsketch.engine import ChaseConfig
 
 MP_TEXT = (corpus_dir() / "mp.sk").read_text()
 
@@ -45,6 +47,34 @@ def test_identity_image_anchor_is_the_image_of_the_source_object():
         (line, 3, "identity image id(C_IM) of arrow 'h_c_IM' is not at "
                   "'H_IM', the image of its source object")]
     assert dsl.parse(MP_TEXT)
+
+
+@pytest.mark.parametrize("text, issue", [
+    ("sketch a { object X arrow i : X -> X [mono] mono i }",
+     (1, 50, "arrow 'i' marked mono twice")),
+    ("sketch a { object A cone c : A { base ; proj }"
+     " cone c : A { base ; proj } }", (1, 48, "duplicate cone 'c'")),
+    # column 62 is the anchor of the identity image, not an object line
+    ("morphism m : graph -> graph { obj V => V obj E => E arr s => id(Q) }",
+     (1, 62, "unknown target object 'Q'")),
+])
+def test_declaration_errors_are_located(text, issue):
+    assert issue in issues(text)
+
+
+def test_json_document_of_unknown_kind():
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_json({"kind": "theory", "name": "x"})
+    assert [i.message for i in exc.value.issues] == [
+        "declaration 0: unknown kind 'theory'"]
+
+
+def test_neither_writer_writes_a_config_with_no_rules():
+    """An empty rule list parses back in neither format."""
+    cfg = dsl.NamedConfig("q", ChaseConfig(max_rounds=2, rule_subset=()))
+    for write in (dsl.serialize, dsl.serialize_json):
+        with pytest.raises(ValueError, match="config 'q' lists no rules"):
+            write(cfg)
 
 
 def run(argv, capsys):

@@ -241,6 +241,19 @@ def test_mono_injectivity_checked():
     assert "mono-not-injective" in {v.code for v in report.violations}
 
 
+def test_untyped_realization_reports_each_gap():
+    """A missing carrier or action, or an action between the wrong
+    carriers, is reported before any equation or cone is read."""
+    V = finset(["v"])
+    R = Realization(GRAPH, {"V": V}, {"t": FinFunction(V, V, {"v": "v"})})
+    assert [(v.code, v.where, v.message)
+            for v in check_realization(R).violations] == [
+        ("missing-carrier", "E", "no carrier for object 'E'"),
+        ("missing-action", "s", "no action for arrow 's'"),
+        ("action-type", "t", "action of 't' does not match its carriers"),
+    ]
+
+
 def test_one_formula_theory_is_valid():
     assert check_realization(one_formula_theory()).ok
 
@@ -321,6 +334,17 @@ def test_vertex_swap_breaks_naturality_at_s():
     assert "s" in {v.where for v in report.violations}
 
 
+def test_morphism_with_a_missing_or_mistyped_component():
+    R = mk_graph(["v"], ["e"], {"e": "v"}, {"e": "v"})
+    E = R.carrier["E"]
+    phi = RealMorphism(R, R, {"V": FinFunction(E, E, {"e": "e"})})
+    assert [(v.code, v.where, v.message)
+            for v in check_morphism(phi).violations] == [
+        ("missing-component", "E", "no component at 'E'"),
+        ("component-type", "V", "component at 'V' has wrong carriers"),
+    ]
+
+
 def test_morphism_across_sketches_is_an_error():
     R1 = mk_graph(["v"], [], {}, {})
     R2 = empty_realization(MAGMA)
@@ -364,6 +388,14 @@ def test_restrict_theory_along_localiser_gives_bijective_legs():
     # the partial arrows act exactly like the unbroken ones
     assert S.action["c_IM"].mapping == T.action["c_IM"].mapping
     assert S.carrier["H_IM_part_c_IM"] == T.carrier["H_IM"]
+
+
+def test_restrict_along_needs_a_model_of_the_target():
+    sigma = SketchMorphism(GRAPH, MAGMA, {"V": "M", "E": "M2"},
+                           {"s": ("s",), "t": ("t",)})
+    with pytest.raises(ValueError, match="realization is not over the "
+                       "morphism's target sketch"):
+        restrict_along(sigma, mk_graph(["v"], [], {}, {}))
 
 
 def test_restrict_invalid_morphism_errors():
@@ -481,6 +513,23 @@ def test_extend_detects_conflict():
     R1 = mk_graph(["v"], ["e"], {"e": "v"}, {"e": "v"})
     R2 = mk_graph(["w1", "w2"], ["d"], {"d": "w1"}, {"d": "w2"})
     assert extend_morphism(R1, R2, {"E": {"e": "d"}}) is None
+
+
+def test_extend_refuses_a_seed_outside_the_carriers():
+    R1 = mk_graph(["v"], ["e"], {"e": "v"}, {"e": "v"})
+    R2 = mk_graph(["w"], ["d"], {"d": "w"}, {"d": "w"})
+    with pytest.raises(ValueError,
+                       match="seed 'x' -> 'd' not in the 'E' carriers"):
+        extend_morphism(R1, R2, {"E": {"x": "d"}})
+
+
+def test_morphism_search_needs_one_sketch():
+    R1, R2 = mk_graph(["v"], [], {}, {}), empty_realization(MAGMA)
+    for search in (enumerate_morphisms,
+                   lambda src, tgt: extend_morphism(src, tgt, {})):
+        with pytest.raises(ValueError,
+                           match="realizations are over different sketches"):
+            search(R1, R2)
 
 
 def test_extend_underdetermined_returns_none():

@@ -106,6 +106,11 @@ def test_representable_diverges_within_a_small_budget(monkeypatch):
     assert "budget" in str(info.value.__cause__)
 
 
+def test_yoneda_arrow_unknown_arrow():
+    with pytest.raises(ValueError, match="unknown arrow 'zz' in sketch graph"):
+        yoneda_arrow(GRAPH, "zz")
+
+
 def test_yoneda_arrow_graph_endpoints():
     y_e = representable(GRAPH, "E")
     via_s = yoneda_arrow(GRAPH, "s")
