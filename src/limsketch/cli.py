@@ -117,10 +117,6 @@ def _rules_for(decls, spec, wanted_csv, read=None):
     return chosen
 
 
-def _carrier_sizes(spec):
-    return {ob: len(spec.carrier[ob].elements) for ob in spec.over.objects}
-
-
 def _write_spec(out_dir, name, spec):
     """Write a self-contained file: the sketch plus the named spec."""
     path = Path(out_dir) / f"{name}.sk"
@@ -135,15 +131,18 @@ def _emit_spec(args, name, spec) -> int:
     if args.out:
         print(f"wrote {_write_spec(args.out, name, spec)}")
     named = dsl.NamedSpec(name, spec)
-    if args.format == "json":
-        print(dsl.serialize_json(named))
-    else:
-        print(dsl.serialize(named), end="")
+    _emit(args, dsl.to_jsonable(named),
+          lambda _: dsl.serialize(named).splitlines())
     return 0
 
 
-def _print_json(doc):
-    print(json.dumps(doc, indent=2))
+def _emit(args, doc, lines, path=None) -> None:
+    """Print a command's output, or write it to ``path``, in the
+    ``--format`` it was given, the one place that reads it: the JSON dump
+    of ``doc``, or the text lines that ``lines(doc)`` renders from it."""
+    out = json.dumps(doc, indent=2) + "\n" if args.format == "json" else \
+        "".join(f"{line}\n" for line in lines(doc))
+    (sys.stdout.write if path is None else path.write_text)(out)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,6 @@ def cmd_validate(args) -> int:
     if not decls:
         raise CliError("nothing to validate in the given files")
     entries = []
-    bad = False
     for d in decls:
         if isinstance(d, Sketch):
             kind, rep = "sketch", validate_sketch(d)
@@ -166,28 +164,19 @@ def cmd_validate(args) -> int:
             kind, rep = "morphism", check_sketch_morphism(d.morphism)
         else:
             continue
-        bad = bad or not rep.ok
         entries.append((d.name, kind, rep))
-    if args.format == "json":
-        _print_json([
-            {"name": name, "kind": kind,
-             "violations": dsl.to_jsonable(rep)}
-            for name, kind, rep in entries
-        ])
-    else:
-        for name, kind, rep in entries:
-            print(f"{kind} {name}: {rep}")
-    return 1 if bad else 0
+    doc = [{"name": name, "kind": kind, "violations": dsl.to_jsonable(rep)}
+           for name, kind, rep in entries]
+    _emit(args, doc, lambda _: (f"{kind} {name}: {rep}"
+                                for name, kind, rep in entries))
+    return 0 if all(rep.ok for _, _, rep in entries) else 1
 
 
 def cmd_check_real(args) -> int:
     decls = _load(args.files)
     spec = _pick(decls, dsl.NamedSpec, args.spec, "spec")
     rep = check_realization(spec.realization)
-    if args.format == "json":
-        print(dsl.serialize_json(rep))
-    else:
-        print(f"spec {spec.name}: {rep}")
+    _emit(args, dsl.to_jsonable(rep), lambda _: [f"spec {spec.name}: {rep}"])
     return 0 if rep.ok else 1
 
 
@@ -208,23 +197,18 @@ def cmd_break(args) -> int:
     sigma_path = out / f"{sk.name}_sigma.sk"
     sigma_path.write_text(dsl.serialize_file([dsl.canonical(sk), sp_named,
                                               sigma]))
-    if args.format == "json":
-        _print_json({
-            "cycles": [[[a, d] for a, d in walk] for walk in cycles.cycles],
-            "broken": [{"h": r.h, "c": r.c, "fresh": r.fresh}
-                       for r in loc.broken],
-            "files": {"sketch": str(sp_path), "sigma": str(sigma_path)},
-        })
-        return 0
-    if cycles.cycles:
-        for walk in cycles.cycles:
-            print("cycle: " + " ".join(f"{a}({d})" for a, d in walk))
-    else:
-        print("no cycles")
-    for r in loc.broken:
-        print(f"broke {r.c} via {r.fresh} (mono {r.h})")
-    print(f"wrote {sp_path}")
-    print(f"wrote {sigma_path}")
+    doc = {
+        "cycles": [[[a, d] for a, d in walk] for walk in cycles.cycles],
+        "broken": [{"h": r.h, "c": r.c, "fresh": r.fresh}
+                   for r in loc.broken],
+        "files": {"sketch": str(sp_path), "sigma": str(sigma_path)},
+    }
+    _emit(args, doc, lambda doc: [
+        *([" ".join(["cycle:", *(f"{a}({d})" for a, d in walk)])
+           for walk in doc["cycles"]] or ["no cycles"]),
+        *(f"broke {r['c']} via {r['fresh']} (mono {r['h']})"
+          for r in doc["broken"]),
+        *(f"wrote {path}" for path in doc["files"].values())])
     return 0
 
 
@@ -237,23 +221,19 @@ def cmd_saturate(args) -> int:
                        "number")
     cfg = ChaseConfig(max_rounds=args.max_rounds)
     res = saturate(spec.realization, rules, cfg)
+    doc = dsl.to_jsonable(res)
     if args.trace:
         trace_path = Path(args.trace)
         trace_path.parent.mkdir(parents=True, exist_ok=True)
-        if args.format == "json":
-            trace_path.write_text(dsl.serialize_json(res) + "\n")
-        else:
-            trace_path.write_text("\n".join(trace_lines(res)) + "\n")
+        _emit(args, doc, lambda _: trace_lines(res), trace_path)
     if args.out:
         _write_spec(args.out, f"{spec.name}_saturated", res.result)
-    if args.format == "json":
-        doc = dsl.to_jsonable(res)
-        doc["carriers"] = _carrier_sizes(res.result)
-        _print_json(doc)
-    else:
-        print(f"status {res.status} rounds {res.rounds}")
-        for ob, n in sorted(_carrier_sizes(res.result).items()):
-            print(f"carrier {ob} {n}")
+    carriers = res.result.carrier
+    doc = {**doc, "carriers": {ob: len(carriers[ob].elements)
+                               for ob in res.result.over.objects}}
+    _emit(args, doc, lambda doc: [
+        f"status {doc['status']} rounds {doc['rounds']}",
+        *(f"carrier {ob} {n}" for ob, n in sorted(doc["carriers"].items()))])
     return 0
 
 
@@ -280,12 +260,11 @@ def _report(args, spec, frac, name, head, doc) -> int:
     added = {ob: xs for ob, xs in added.items() if xs}
     if args.out:
         _write_spec(args.out, name, tgt)
-    if args.format == "json":
-        _print_json({**doc, "certificate": frac.certificate, "added": added})
-    else:
-        print(f"{head} ({frac.certificate})")
-        for ob in sorted(added):
-            print(f"add {ob} " + " ".join(added[ob]))
+    doc = {**doc, "certificate": frac.certificate, "added": added}
+    _emit(args, doc, lambda doc: [
+        f"{head} ({doc['certificate']})",
+        *(f"add {ob} {' '.join(doc['added'][ob])}"
+          for ob in sorted(doc["added"]))])
     return 0
 
 
@@ -318,8 +297,7 @@ def cmd_prove(args) -> int:
             _load_file((script.parent / words[1]).resolve(), decls, env,
                        seen)
         elif words[0] == "spec" and len(words) == 2:
-            named = _pick(decls, dsl.NamedSpec, words[1], "spec")
-            spec = named.realization
+            spec = _pick(decls, dsl.NamedSpec, words[1], "spec").realization
         elif words[0] == "step" and len(words) == 3:
             if spec is None:
                 raise CliError(f"{where}: step before any 'spec' line")
@@ -370,12 +348,8 @@ def cmd_corpus(args) -> int:
             (out / name).write_text((corpus_dir() / name).read_text())
         print(f"copied {len(files)} file(s) to {out}")
         return 0
-    if args.format == "json":
-        _print_json({"dir": str(corpus_dir()), "files": files})
-    else:
-        print(str(corpus_dir()))
-        for name in files:
-            print(name)
+    doc = {"dir": str(corpus_dir()), "files": files}
+    _emit(args, doc, lambda doc: [doc["dir"], *doc["files"]])
     return 0
 
 
@@ -439,7 +413,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove",
                        help="run a proof script and compose its steps")
     p.add_argument("script", help="use/spec/step script file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p, files=None)
     p.add_argument("--out", help="directory for the final spec file")
     p.set_defaults(fn=cmd_prove)
 
@@ -460,7 +434,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transport)
 
     p = sub.add_parser("corpus", help="locate or copy the shipped corpus")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p, files=None)
     p.add_argument("--out", help="copy the corpus files to this directory")
     p.set_defaults(fn=cmd_corpus)
 

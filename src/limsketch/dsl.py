@@ -752,97 +752,19 @@ def parse(text: str, env: dict[str, Sketch] | None = None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# canonical text form
+# documents: one per declaration, dumped as JSON or rendered as text
 # ---------------------------------------------------------------------------
-
-
-def _path_text(path: tuple[str, ...]) -> str:
-    return ".".join(path)
-
-
-def _eq_text(sk: Sketch, eq: PathEquation) -> str:
-    lhs = _path_text(eq.lhs)
-    if eq.rhs:
-        return f"eq {lhs} = {_path_text(eq.rhs)}"
-    return f"eq {lhs} = id({sk.arrows[eq.lhs[0]].src})"
-
-
-def _serialize_sketch(sk: Sketch) -> str:
-    sk = canonical(sk)
-    lines = [f"sketch {sk.name} {{"]
-    for ob in sk.objects:
-        lines.append(f"  object {ob}")
-    for aid, a in sk.arrows.items():
-        flag = " [mono]" if aid in sk.monos else ""
-        lines.append(f"  arrow {aid} : {a.src} -> {a.tgt}{flag}")
-    for cname, cone in sk.cones.items():
-        lines.append(f"  cone {cname} : {cone.apex} {{")
-        lines.append("    base")
-        for node, ob in cone.nodes.items():
-            lines.append(f"      {node} : {ob}")
-        for e in cone.edges:
-            lines.append(f"      edge {e.src} -> {e.tgt} : "
-                         f"{_path_text(e.path)}")
-        lines.append("    ;")
-        lines.append("    proj")
-        for node, arrow in cone.projections.items():
-            lines.append(f"      {node} -> {arrow}")
-        lines.append("  }")
-    for eq in sk.equations:
-        lines.append(f"  {_eq_text(sk, eq)}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _serialize_spec(decl: NamedSpec) -> str:
-    r = decl.realization
-    sk = r.over
-    lines = [f"spec {decl.name} over {sk.name} {{"]
-    for ob in sk.objects:
-        for x in r.carrier[ob]:
-            lines.append(f"  elem {x} : {ob}")
-    for aid in sorted(sk.arrows):
-        table = r.action[aid].mapping
-        for x in r.carrier[sk.arrows[aid].src]:
-            lines.append(f"  act {aid}({x}) = {table[x]}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _serialize_morphism(decl: NamedMorphism) -> str:
-    m = decl.morphism
-    lines = [f"morphism {decl.name} : {m.src.name} -> {m.tgt.name} {{"]
-    for ob in sorted(m.object_map):
-        lines.append(f"  obj {ob} => {m.object_map[ob]}")
-    for aid in sorted(m.arrow_map):
-        path = m.arrow_map[aid]
-        if path:
-            image = _path_text(path)
-        else:
-            image = f"id({m.object_map[m.src.arrows[aid].src]})"
-        lines.append(f"  arr {aid} => {image}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _serialize_config(decl: NamedConfig) -> str:
-    rules = _config_doc(decl)["rules"]
-    lines = [f"config {decl.name} {{",
-             f"  max_rounds = {decl.config.max_rounds}"]
-    if rules is not None:
-        lines.append(f"  rules = {', '.join(rules)}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def serialize(decl) -> str:
     """Render one declaration in canonical text form.
 
-    The canonical form orders sketch sections as objects, arrows, cones,
-    equations, each alphabetically; parsing it back yields a declaration
-    equal to the alphabetised original, and serializing a parsed
-    canonical file reproduces it byte for byte.  Specification carriers
-    keep their declaration order because element order is meaningful.
+    The text renders the declaration's JSON document.  The canonical form
+    orders sketch sections as objects, arrows, cones, equations, each
+    alphabetically; parsing it back yields a declaration equal to the
+    alphabetised original, and serializing a parsed canonical file
+    reproduces it byte for byte.  Specification carriers keep their
+    declaration order because element order is meaningful.
     """
     if type(decl) not in _DECLARATIONS:
         raise TypeError(f"cannot serialize {type(decl).__name__}")
@@ -882,11 +804,6 @@ def canonical(sk: Sketch) -> Sketch:
     )
 
 
-# ---------------------------------------------------------------------------
-# JSON mirror
-# ---------------------------------------------------------------------------
-
-
 def _sketch_doc(sk: Sketch) -> dict:
     sk = canonical(sk)
     return {
@@ -918,18 +835,52 @@ def _sketch_doc(sk: Sketch) -> dict:
     }
 
 
+def _sketch_text(sk: Sketch) -> str:
+    doc = _sketch_doc(sk)
+    source = {a["id"]: a["src"] for a in doc["arrows"]}
+    lines = [f"sketch {doc['name']} {{",
+             *(f"  object {ob}" for ob in doc["objects"])]
+    for a in doc["arrows"]:
+        flag = " [mono]" if a["id"] in doc["monos"] else ""
+        lines.append(f"  arrow {a['id']} : {a['src']} -> {a['tgt']}{flag}")
+    for c in doc["cones"]:
+        lines += [f"  cone {c['name']} : {c['apex']} {{", "    base",
+                  *(f"      {n} : {ob}" for n, ob in c["nodes"].items()),
+                  *(f"      edge {e['src']} -> {e['tgt']} : "
+                    f"{'.'.join(e['path'])}" for e in c["edges"]),
+                  "    ;", "    proj",
+                  *(f"      {n} -> {a}" for n, a in c["projections"].items()),
+                  "  }"]
+    for q in doc["equations"]:
+        rhs = ".".join(q["rhs"]) or f"id({source[q['lhs'][0]]})"
+        lines.append(f"  eq {'.'.join(q['lhs'])} = {rhs}")
+    return "\n".join(lines) + "\n}\n"
+
+
 def _spec_doc(decl: NamedSpec) -> dict:
     r = decl.realization
+    arrows = r.over.arrows
     return {
         "kind": "spec",
         "name": decl.name,
         "over": r.over.name,
         "carriers": {ob: list(r.carrier[ob].elements)
                      for ob in r.over.objects},
-        "actions": {aid: {x: r.action[aid].mapping[x]
-                          for x in r.carrier[r.over.arrows[aid].src]}
-                    for aid in sorted(r.over.arrows)},
+        "actions": {aid: dict(zip(xs, map(r.action[aid].mapping.__getitem__,
+                                          xs)))
+                    for aid in sorted(arrows)
+                    for xs in [r.carrier[arrows[aid].src].elements]},
     }
+
+
+def _spec_text(decl: NamedSpec) -> str:
+    doc = _spec_doc(decl)
+    lines = [f"spec {doc['name']} over {doc['over']} {{"]
+    for ob, xs in doc["carriers"].items():
+        lines += [f"  elem {x} : {ob}" for x in xs]
+    for aid, table in doc["actions"].items():
+        lines += [f"  act {aid}({x}) = {y}" for x, y in table.items()]
+    return "\n".join(lines) + "\n}\n"
 
 
 def _morphism_doc(decl: NamedMorphism) -> dict:
@@ -945,27 +896,53 @@ def _morphism_doc(decl: NamedMorphism) -> dict:
     }
 
 
+def _morphism_text(decl: NamedMorphism) -> str:
+    """The document writes an identity image as ``[]``; its ``id(OBJ)``
+    text names the image of the arrow's source, read off the morphism."""
+    doc, m = _morphism_doc(decl), decl.morphism
+    lines = [f"morphism {doc['name']} : {doc['src']} -> {doc['tgt']} {{",
+             *(f"  obj {a} => {b}" for a, b in doc["objects"].items())]
+    for aid, path in doc["arrows"].items():
+        image = ".".join(path) or f"id({m.object_map[m.src.arrows[aid].src]})"
+        lines.append(f"  arr {aid} => {image}")
+    return "\n".join(lines) + "\n}\n"
+
+
 def _config_doc(decl: NamedConfig) -> dict:
-    """Both writers read a config's rules here: an empty list of them
-    parses back in neither format, so it is refused."""
-    rules = decl.config.rule_subset
-    if rules == ():
-        raise ValueError(f"config {decl.name!r} lists no rules, so neither "
-                         "format can write it")
+    """Both writers read a config here, so it refuses what parses back in
+    neither format: a round budget that is not a natural number, an empty
+    rule list, or a rule name that is not an identifier."""
+    rounds, rules = decl.config.max_rounds, decl.config.rule_subset
+    bad = next((f"lists rule {r!r}, not an identifier" for r in rules or ()
+                if not _IDENT.fullmatch(r)),
+               "lists no rules" if rules == () else None)
+    if type(rounds) is not int or rounds < 0:
+        bad = f"has max_rounds {rounds!r}, not a natural number"
+    if bad:
+        raise ValueError(f"config {decl.name!r} {bad}, so neither format can "
+                         "write it")
     return {
         "kind": "config",
         "name": decl.name,
-        "max_rounds": decl.config.max_rounds,
+        "max_rounds": rounds,
         "rules": None if rules is None else list(rules),
     }
 
 
-# the four declaration types, each with its text and its JSON writer
+def _config_text(decl: NamedConfig) -> str:
+    doc = _config_doc(decl)
+    lines = [f"config {doc['name']} {{", f"  max_rounds = {doc['max_rounds']}"]
+    if doc["rules"] is not None:
+        lines.append(f"  rules = {', '.join(doc['rules'])}")
+    return "\n".join(lines) + "\n}\n"
+
+
+# the four declaration types, each with its text writer and its document
 _DECLARATIONS = {
-    Sketch: (_serialize_sketch, _sketch_doc),
-    NamedSpec: (_serialize_spec, _spec_doc),
-    NamedMorphism: (_serialize_morphism, _morphism_doc),
-    NamedConfig: (_serialize_config, _config_doc),
+    Sketch: (_sketch_text, _sketch_doc),
+    NamedSpec: (_spec_text, _spec_doc),
+    NamedMorphism: (_morphism_text, _morphism_doc),
+    NamedConfig: (_config_text, _config_doc),
 }
 
 

@@ -870,19 +870,17 @@ def transport_spec(sigma, theory: Realization) -> Realization:
 
 
 def trace_lines(res: ChaseResult) -> list[str]:
-    """Render a chase trace as stable, diff-friendly text lines."""
+    """Render a chase trace, as :func:`trace_doc` holds it, as stable,
+    diff-friendly text lines."""
     lines = []
-    for r in res.trace.rounds:
-        lines.append(f"round {r.round}")
-        for rid, elem in r.fired:
-            lines.append(f"  fire {rid} {elem}")
-        for ob in sorted(r.added):
-            for name in r.added[ob]:
-                lines.append(f"  add {ob} {name}")
-        for ob, kept, dropped in r.identified:
-            lines.append(f"  ident {ob} {kept} {dropped}")
-    lines.append(f"status {res.status} rounds {res.rounds}")
-    return lines
+    for r in trace_doc(res)["rounds"]:
+        lines += [f"round {r['round']}",
+                  *(f"  fire {f['rule']} {f['match']}" for f in r["fired"]),
+                  *(f"  add {ob} {x}" for ob, xs in r["added"].items()
+                    for x in xs),
+                  *(f"  ident {i['object']} {i['kept']} {i['dropped']}"
+                    for i in r["identified"])]
+    return lines + [f"status {res.status} rounds {res.rounds}"]
 
 
 def trace_doc(res: ChaseResult) -> dict:

@@ -77,6 +77,21 @@ def test_neither_writer_writes_a_config_with_no_rules():
             write(cfg)
 
 
+@pytest.mark.parametrize("config, refusal", [
+    (ChaseConfig(max_rounds=-1),
+     "config 'q' has max_rounds -1, not a natural number"),
+    (ChaseConfig(rule_subset=("a b",)),
+     "config 'q' lists rule 'a b', not an identifier"),
+])
+@pytest.mark.parametrize("write", [dsl.serialize, dsl.serialize_json])
+def test_neither_writer_writes_a_config_neither_loader_reads(config, refusal,
+                                                            write):
+    """A negative round budget and a rule name with a blank in it parse
+    back in neither format."""
+    with pytest.raises(ValueError, match=refusal):
+        write(dsl.NamedConfig("q", config))
+
+
 def run(argv, capsys):
     code = main(argv)
     return code, capsys.readouterr().err
