@@ -13,6 +13,8 @@ import re
 import string
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .engine import ChaseConfig, ChaseResult, trace_doc
@@ -74,6 +76,7 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_#']*")
+_IDENTS = re.compile(rf"{_IDENT.pattern}(?:\n{_IDENT.pattern})*")
 # Each match skips blanks (space, tab, CR, LF) and comments, then captures
 # one token: an identifier, a number, a punctuation mark, one stray
 # character, or the empty text at the end of input.  After the greedy skip
@@ -95,6 +98,14 @@ _MARKS = "{}()[]:;,."
 _SPLIT_ONLY_BLANKS = "\v\f\x1c\x1d\x1e\x1f"
 
 
+def _identifiers(names) -> bool:
+    """Whether each of the sized ``names`` is an identifier, by one regex
+    pass over them joined by newlines, counted so that no name holds one."""
+    joined = "\n".join(names)
+    return not names or joined.count("\n") == len(names) - 1 and \
+        _IDENTS.fullmatch(joined) is not None
+
+
 def _scan(text: str) -> tuple[list[str], list[str]]:
     """The token texts and kinds of ``text``, as ``_TOKEN`` finds them up
     to the end-of-input token; by the split scan where it applies."""
@@ -105,9 +116,11 @@ def _scan(text: str) -> tuple[list[str], list[str]]:
         texts = padded.split()
         texts.append("")
         # each distinct word's kind, None for a word of several tokens
-        kind_of = {w: _KIND.get(w) or (
-            "ident" if _IDENT.fullmatch(w) else "num" if w.isdigit()
-            else "stray" if len(w) == 1 else None) for w in set(texts)}
+        words = set(texts).difference(_KIND)
+        kind_of = dict.fromkeys(words, "ident") if _identifiers(words) else {
+            w: "ident" if _IDENT.fullmatch(w) else "num" if w.isdigit()
+            else "stray" if len(w) == 1 else None for w in words}
+        kind_of.update(_KIND)
         if None not in kind_of.values():
             return texts, list(map(kind_of.__getitem__, texts))
     texts = _TOKEN.findall(text)
@@ -122,6 +135,41 @@ _TOP_KEYWORDS = ("sketch", "spec", "morphism", "config")
 # The token kinds of ``elem ID : ID`` and ``act ID ( ID ) = ID``.
 _ELEM_SHAPE = ["ident", "ident", ":", "ident"]
 _ACT_SHAPE = ["ident", "ident", "(", "ident", ")", "=", "ident"]
+
+
+def _runs(keys, allowed) -> dict[str, slice]:
+    """Each key's slice of ``keys``; a ValueError unless every key is in
+    ``allowed`` and its entries make one run."""
+    spans, end = {}, 0
+    for key, run in groupby(keys):
+        if key in spans or key not in allowed:
+            raise ValueError(key)
+        start, end = end, end + len(list(run))
+        spans[key] = slice(start, end)
+    return spans
+
+
+def _bulk_spec(sk: Sketch, elems, acts) -> Realization | None:
+    """The spec the columns describe, checked at once; None when a check
+    fails or an object's elements or an arrow's actions are not one run."""
+    (names, obs, _), (arrows, xs, ys, _) = elems, acts
+    try:
+        runs, act_runs = _runs(obs, sk.objects), _runs(arrows, sk.arrows)
+        if len(set(names)) != len(names) or not _identifiers(names):
+            return None
+        cs = {ob: FinSet(tuple(names[runs.get(ob, slice(0))]))
+              for ob in sk.objects}
+        fns = {}
+        for aid, decl in sk.arrows.items():
+            run = act_runs.get(aid, slice(0))
+            table = dict(zip(xs[run], ys[run]))
+            if len(table) != len(xs[run]):  # an argument given twice
+                return None
+            # refused unless total on the source and inside the target
+            fns[aid] = FinFunction(cs[decl.src], cs[decl.tgt], table)
+    except (TypeError, ValueError):
+        return None
+    return Realization(sk, cs, fns)
 
 
 class _Builder:
@@ -289,14 +337,22 @@ class _Builder:
         return out
 
     def spec(self, name: str, at, over: str, over_at, elems, acts) -> None:
-        """Parts: elements ``(el, ob, at)``, actions ``(arrow, x, y, at)``."""
+        """Parts, as columns of one length: elements ``(names, obs, ats)``,
+        actions ``(arrows, xs, ys, ats)``, entry ``i`` located at ``ats[i]``.
+        ``_bulk_spec`` builds the spec if it can; else a walk over the
+        entries, the only code that words issues, checks them one by one."""
         mark = self.declare(name, at)
         sk = self.lookup(over, over_at)
         if sk is None:
             return
+        built = _bulk_spec(sk, elems, acts)
+        if built is not None:
+            if len(self.issues) == mark:
+                self.decls.append(NamedSpec(name, built))
+            return
         carriers: dict[str, list[str]] = {ob: [] for ob in sk.objects}
         where: dict[str, str] = {}
-        for el, ob, el_at in elems:
+        for el, ob, el_at in zip(*elems):
             self.spelled(el, el_at)
             if ob not in carriers:
                 self.error(el_at, f"element {el!r} has undeclared object "
@@ -308,7 +364,7 @@ class _Builder:
             where[el] = ob
             carriers[ob].append(el)
         actions: dict[str, dict[str, str]] = {a: {} for a in sk.arrows}
-        for aid, x, y, act_at in acts:
+        for aid, x, y, act_at in zip(*acts):
             decl = sk.arrows.get(aid)
             if decl is None:
                 self.error(act_at, f"action on undeclared arrow {aid!r}")
@@ -511,15 +567,11 @@ class _Parser:
             except _Recover:
                 self.skip_to(_TOP_KEYWORDS)
 
-    def entries(self, what: str, handlers: dict, bulk=None) -> None:
+    def entries(self, what: str, handlers: dict) -> None:
         """Parse ``{ entry* }``.  ``handlers`` maps each entry keyword to a
         function of the keyword's token that parses the rest of the entry;
-        after a syntax error, parsing resumes at the next keyword.  ``bulk``,
-        if given, first reads a run of well-formed entries past the brace,
-        leaving the cursor at the first entry it does not take."""
+        after a syntax error, parsing resumes at the next keyword."""
         self.expect("{")
-        if bulk is not None:
-            bulk()
         stops = (*handlers, "}")
         while True:
             at = self.pos
@@ -655,13 +707,15 @@ class _Parser:
         name, name_at = self.named("spec name")
         self.expect_keyword("over")
         over, over_at = self.named("sketch name")
-        elems: list = []
-        acts: list = []
+        elems: list = [[], [], []]  # the columns _Builder.spec takes
+        acts: list = [[], [], [], []]
 
         def elem(at: int) -> None:
             el = self.ident("element name")
             self.expect(":")
-            elems.append((el, self.ident("object name"), at))
+            ob = self.ident("object name")
+            for column, part in zip(elems, (el, ob, at)):
+                column.append(part)
 
         def act(at: int) -> None:
             aid = self.ident("arrow name")
@@ -669,25 +723,36 @@ class _Parser:
             x = self.ident("element name")
             self.expect(")")
             self.expect("=")
-            acts.append((aid, x, self.ident("element name"), at))
+            y = self.ident("element name")
+            for column, part in zip(acts, (aid, x, y, at)):
+                column.append(part)
 
-        def bulk() -> None:
-            texts, kinds, at = self.texts, self.kinds, self.pos
-            while True:
-                word = texts[at]
-                if word == "elem" and kinds[at:at + 4] == _ELEM_SHAPE:
-                    elems.append((texts[at + 1], texts[at + 3], at))
-                    at += 4
-                elif word == "act" and kinds[at:at + 7] == _ACT_SHAPE:
-                    acts.append((texts[at + 1], texts[at + 3], texts[at + 6],
-                                 at))
-                    at += 7
-                else:
-                    self.pos = at
-                    return
-
-        self.entries("spec", {"elem": elem, "act": act}, bulk)
+        if not self.canonical_spec(elems, acts):
+            self.entries("spec", {"elem": elem, "act": act})
         self.build.spec(name, name_at, over, over_at, elems, acts)
+
+    def canonical_spec(self, elems: list, acts: list) -> bool:
+        """Read a block of every ``elem`` entry, then every ``act`` entry,
+        each well formed, into the columns by slices; else return False."""
+        texts, kinds, at = self.texts, self.kinds, self.pos + 1
+        try:
+            end = kinds.index("}", at)
+        except ValueError:  # unterminated: the entry loop reports it
+            return False
+        shape = kinds[at:end]  # an elem entry has the one ":", an act the "("
+        k, j = shape.count(":"), shape.count("(")
+        mid = at + 4 * k
+        if kinds[at - 1] != "{" or mid + 7 * j != end or \
+                kinds[at:mid] != _ELEM_SHAPE * k or \
+                kinds[mid:end] != _ACT_SHAPE * j or \
+                texts[at:mid:4].count("elem") != k or \
+                texts[mid:end:7].count("act") != j:
+            return False
+        elems[:] = texts[at + 1:mid:4], texts[at + 3:mid:4], range(at, mid, 4)
+        acts[:] = texts[mid + 1:end:7], texts[mid + 3:end:7], \
+            texts[mid + 6:end:7], range(mid, end, 7)
+        self.pos = end + 1
+        return True
 
     # -- morphism
 
@@ -804,7 +869,19 @@ def canonical(sk: Sketch) -> Sketch:
     )
 
 
+def _writable(kind: str, name, names=()) -> None:
+    """Refuse a declaration whose name, or one of ``names``, is not an
+    identifier: no loader would read it back."""
+    names = (name, *names)
+    if not _identifiers(names):
+        bad = next(n for n in names if not _identifiers((n,)))
+        raise ValueError(f"{kind} {name!r} has the name {bad!r}, not an "
+                         "identifier, so neither format can write it")
+
+
 def _sketch_doc(sk: Sketch) -> dict:
+    _writable("sketch", sk.name, (*sk.objects, *sk.arrows, *sk.cones, *(
+        node for cone in sk.cones.values() for node in cone.nodes)))
     sk = canonical(sk)
     return {
         "kind": "sketch",
@@ -860,6 +937,8 @@ def _sketch_text(sk: Sketch) -> str:
 def _spec_doc(decl: NamedSpec) -> dict:
     r = decl.realization
     arrows = r.over.arrows
+    _writable("spec", decl.name, chain.from_iterable(
+        r.carrier[ob].elements for ob in r.over.objects))
     return {
         "kind": "spec",
         "name": decl.name,
@@ -884,6 +963,7 @@ def _spec_text(decl: NamedSpec) -> str:
 
 
 def _morphism_doc(decl: NamedMorphism) -> dict:
+    _writable("morphism", decl.name)
     m = decl.morphism
     return {
         "kind": "morphism",
@@ -910,8 +990,9 @@ def _morphism_text(decl: NamedMorphism) -> str:
 
 def _config_doc(decl: NamedConfig) -> dict:
     """Both writers read a config here, so it refuses what parses back in
-    neither format: a round budget that is not a natural number, an empty
-    rule list, or a rule name that is not an identifier."""
+    neither format: a name or a rule name that is not an identifier, a
+    round budget that is not a natural number, or an empty rule list."""
+    _writable("config", decl.name)
     rounds, rules = decl.config.max_rounds, decl.config.rule_subset
     bad = next((f"lists rule {r!r}, not an identifier" for r in rules or ()
                 if not _IDENT.fullmatch(r)),
@@ -1033,12 +1114,18 @@ def _read_doc(build: _Builder, at: int, doc) -> None:
               [(n, a, at) for n, a in c["projections"].items()], at)
              for c in _list(doc["cones"])])
     elif kind == "spec":
-        build.spec(
-            doc["name"], at, doc["over"], at,
-            [(x, ob, at) for ob, xs in doc["carriers"].items()
-             for x in _list(xs)],
-            [(aid, x, y, at) for aid, table in doc["actions"].items()
-             for x, y in table.items()])
+        name, over = doc["name"], doc["over"]
+        names, obs, arrows, xs, ys = [], [], [], [], []
+        for ob, elements in doc["carriers"].items():
+            names += _list(elements)
+            obs += [ob] * len(elements)
+        for aid, table in doc["actions"].items():
+            pairs = table.items()
+            arrows += [aid] * len(pairs)
+            xs += map(itemgetter(0), pairs)
+            ys += map(itemgetter(1), pairs)
+        build.spec(name, at, over, at, (names, obs, [at] * len(names)),
+                   (arrows, xs, ys, [at] * len(xs)))
     elif kind == "morphism":
         build.morphism(
             doc["name"], at, doc["src"], at, doc["tgt"], at,

@@ -317,7 +317,8 @@ class _Parser:
             acts.append((aid, x, self.ident("element name"), tok))
 
         self.entries("spec", {"elem": elem, "act": act})
-        self.build.spec(name, name_tok, over, over_tok, elems, acts)
+        self.build.spec(name, name_tok, over, over_tok,
+                        [*zip(*elems)] or [()] * 3, [*zip(*acts)] or [()] * 4)
 
     # -- morphism
 

@@ -56,6 +56,14 @@ def load(parse, text: str):
         return None, [(i.line, i.col, i.message) for i in e.issues]
 
 
+def walked(parse, text: str, monkeypatch):
+    """``load`` with the bulk spec build off, so that every spec is walked
+    entry by entry."""
+    with monkeypatch.context() as m:
+        m.setattr(dsl, "_bulk_spec", lambda sk, elems, acts: None)
+        return load(parse, text)
+
+
 def assert_same_load(text: str) -> None:
     got = load(dsl.parse, text)
     decls, issues = load(oracle_dsl.parse, text)
@@ -110,7 +118,9 @@ def mutate(text: str, rng: random.Random) -> str:
         text[at:]
 
 
-def test_mutations_load_like_the_oracle():
+def test_mutations_load_like_the_oracle(monkeypatch):
+    """Each mutation also loads alike with the bulk spec build off, in the
+    text form and, where it loads, in the JSON form of what it loads."""
     texts = [*CORPUS_TEXTS.values(), chain_text(2), chain_text(4)]
     rng = random.Random(7)
     for case in range(500):
@@ -119,6 +129,12 @@ def test_mutations_load_like_the_oracle():
             text = mutate(text, rng)
         try:
             assert_same_load(text)
+            decls, _ = got = load(dsl.parse, text)
+            assert got == walked(dsl.parse, text, monkeypatch)
+            if decls is not None:
+                doc = dsl.serialize_json(decls)
+                assert load(dsl.parse_json, doc) == \
+                    walked(dsl.parse_json, doc, monkeypatch) == (decls, [])
         except AssertionError:
             print(f"mutation case {case}: {text!r}")
             raise

@@ -2,6 +2,7 @@
 anchor is checked against where its path sits, the command line names the
 file an issue is in, and neither writer writes what the loaders refuse."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,8 +10,16 @@ import pytest
 from limsketch import dsl
 from limsketch.cli import corpus_dir, main
 from limsketch.engine import ChaseConfig
+from limsketch.finset import FinFunction, FinSet
+from limsketch.localizer import SketchMorphism
+from limsketch.realization import Realization
+from limsketch.sketch import ArrowDecl, Sketch, builtin_sketches
 
 MP_TEXT = (corpus_dir() / "mp.sk").read_text()
+GRAPH = builtin_sketches()["graph"]
+MAGMA = builtin_sketches()["magma"]
+PAIRS = next(iter(MAGMA.cones.values()))
+EMPTY = FinFunction(FinSet(()), FinSet(()), {})
 
 
 def issues(text):
@@ -90,6 +99,45 @@ def test_neither_writer_writes_a_config_neither_loader_reads(config, refusal,
     back in neither format."""
     with pytest.raises(ValueError, match=refusal):
         write(dsl.NamedConfig("q", config))
+
+
+def renamed_sketch(**parts) -> Sketch:
+    """The builtin magma sketch with some of its parts replaced."""
+    return dataclasses.replace(MAGMA, **parts)
+
+
+@pytest.mark.parametrize("decl, kind, name, bad", [
+    (dsl.NamedConfig("a b", ChaseConfig()), "config", "a b", "a b"),
+    (renamed_sketch(name="my magma"), "sketch", "my magma", "my magma"),
+    (renamed_sketch(objects=(*MAGMA.objects, "M 3")), "sketch", "magma",
+     "M 3"),
+    (renamed_sketch(arrows={**MAGMA.arrows,
+                            "m\n2": ArrowDecl("m\n2", "M", "M")}),
+     "sketch", "magma", "m\n2"),
+    (renamed_sketch(cones={"pair s": dataclasses.replace(
+        PAIRS, name="pair s")}), "sketch", "magma", "pair s"),
+    (renamed_sketch(cones={PAIRS.name: dataclasses.replace(
+        PAIRS, nodes={**PAIRS.nodes, "": "M"})}), "sketch", "magma", ""),
+    (dsl.NamedSpec("s", Realization(
+        GRAPH, {"E": FinSet(()), "V": FinSet(("v0", "v-1"))},
+        {"s": EMPTY, "t": EMPTY})), "spec", "s", "v-1"),
+    (dsl.NamedSpec("s t", Realization(
+        GRAPH, {"E": FinSet(()), "V": FinSet(())}, {"s": EMPTY, "t": EMPTY})),
+     "spec", "s t", "s t"),
+    (dsl.NamedMorphism("m 1", SketchMorphism(
+        GRAPH, GRAPH, {"E": "E", "V": "V"}, {"s": ("s",), "t": ("t",)})),
+     "morphism", "m 1", "m 1"),
+], ids=["config", "sketch", "object", "arrow", "cone", "node", "element",
+        "spec", "morphism"])
+@pytest.mark.parametrize("write", [dsl.serialize, dsl.serialize_json])
+def test_neither_writer_writes_a_name_neither_loader_reads(decl, kind, name,
+                                                          bad, write):
+    """A declaration, object, arrow, cone, cone node or element name that is
+    not an identifier parses back in neither format."""
+    with pytest.raises(ValueError) as exc:
+        write(decl)
+    assert str(exc.value) == f"{kind} {name!r} has the name {bad!r}, not " \
+        "an identifier, so neither format can write it"
 
 
 def run(argv, capsys):
