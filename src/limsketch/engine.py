@@ -550,6 +550,7 @@ class _Chase:
         """The state as a realization; an object, or an arrow with its
         source and target (a merge there changes its values), still at
         stamp 0 keeps the base's carrier or action."""
+        self.kept.clear()
         base, ob_stamp = self.base, self.ob_stamp
         carrier = {ob: base.carrier[ob] if base and not ob_stamp[ob]
                    else FinSet(tuple(self.reps(ob))) for ob in self.sk.objects}
@@ -624,37 +625,25 @@ def saturate(spec: Realization, rules: list[Rule],
                              f"{', '.join(sorted(unknown))}")
         active = [r for r in active if r.id in cfg.rule_subset]
     st = _state_of(spec)
-    trace: list[TraceRound] = []
-
-    def close_round(n: int, fired: tuple[tuple[str, str], ...]) -> None:
-        added, identified = st.take_round()
-        trace.append(TraceRound(n, fired, added, identified))
-
     st.repair(full=True)
-    close_round(0, ())
+    trace = [TraceRound(0, (), *st.take_round())]
     rounds = 0
     while True:
         matches = [(r, st.unsatisfied(r)) for r in active]
         fired = tuple((r.id, x) for r, xs in matches for x in xs)
-        if not fired:
-            status = "fixpoint"
-            break
-        if rounds >= cfg.max_rounds:
-            status = "capped"
+        if not fired or rounds >= cfg.max_rounds:
             break
         for rule, xs in matches:
             st.write_many(rule.h_arrow, dict(zip(
                 st.fresh_many(rule.fresh, len(xs)), xs)))
         rounds += 1
-        last = rounds >= cfg.max_rounds
-        st.repair(full=not last)
-        close_round(rounds, fired)
-        if last:
-            status = "capped"
+        st.repair(full=rounds < cfg.max_rounds)
+        trace.append(TraceRound(rounds, fired, *st.take_round()))
+        if rounds >= cfg.max_rounds:
             break
     result = st.realization()
-    return ChaseResult(result, status, rounds, ChaseTrace(tuple(trace)),
-                       st.leg(spec, result))
+    return ChaseResult(result, "capped" if fired else "fixpoint", rounds,
+                       ChaseTrace(tuple(trace)), st.leg(spec, result))
 
 
 def rules_of(loc: Localiser) -> list[Rule]:
@@ -677,13 +666,18 @@ def rules_of(loc: Localiser) -> list[Rule]:
     return sorted(out, key=lambda r: r.id)
 
 
+def _satisfied(rule: Rule, spec: Realization) -> set[str]:
+    """Where ``rule`` has fired in ``spec``: its section witness's image."""
+    return set(spec.action[rule.h_arrow].mapping.values())
+
+
 def match_rule(rule: Rule, spec: Realization) -> list[Match]:
     """List all matches of ``rule`` in ``spec``, in carrier order.
 
     A match is satisfied when its element already lies in the image of the
     section witness arrow, i.e. the rule has already been applied there.
     """
-    image = set(spec.action[rule.h_arrow].mapping.values())
+    image = _satisfied(rule, spec)
     elements = spec.carrier[rule.apex].elements
     out = []
     for x, phi in zip(elements, _extensions(
@@ -753,7 +747,7 @@ def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
     The result specification is the middle object of the returned fraction;
     ``h`` is the embedding of ``spec`` into it and ``c`` the identity.
     """
-    if match.element in spec.action[rule.h_arrow].mapping.values():
+    if match.element in _satisfied(rule, spec):
         raise ValueError(
             f"redundant step: match {match.element} of rule {rule.id} is "
             "already satisfied")
@@ -766,12 +760,8 @@ def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
 
 def is_theory(spec: Realization, rules: list[Rule]) -> bool:
     """True when every match of every rule is already satisfied."""
-    for rule in rules:
-        image = set(spec.action[rule.h_arrow].mapping.values())
-        for x in spec.carrier[rule.apex].elements:
-            if x not in image:
-                return False
-    return True
+    return all(spec.carrier[rule.apex].members <= _satisfied(rule, spec)
+               for rule in rules)
 
 
 def _induced_map(a: ChaseResult, b: ChaseResult,
@@ -851,17 +841,15 @@ def compose_fractions(f1: Fraction, f2: Fraction,
     mid = st.realization()
     h = st.leg(f1.src, mid, _maps(f1.h))
     c = st.leg(f2.tgt, mid, _maps(f2.c), second_inj)
-    certificate = "by-construction"
-    if not (f1.certificate == "by-construction"
-            and f2.certificate == "by-construction"):
-        if rules is None:
-            raise ValueError(
-                "composing checked fractions needs the rule set to "
-                "re-certify the composite")
-        composite = Fraction(f1.src, f2.tgt, mid, h, c, "checked")
+    checked = not (f1.certificate == f2.certificate == "by-construction")
+    if checked and rules is None:
+        raise ValueError("composing checked fractions needs the rule set to "
+                         "re-certify the composite")
+    composite = Fraction(f1.src, f2.tgt, mid, h, c,
+                         "checked" if checked else "by-construction")
+    if checked:
         check_fraction(composite, rules, cfg)
-        certificate = "checked"
-    return Fraction(f1.src, f2.tgt, mid, h, c, certificate)
+    return composite
 
 
 def transport_spec(sigma, theory: Realization) -> Realization:

@@ -152,6 +152,21 @@ def test_a_cone_that_runs_again_joins_only_new_families(monkeypatch):
     assert sum(r[3] for r in runs) == n - 1
 
 
+def test_extraction_drops_what_the_cones_kept():
+    # Extraction ends a state's repairs, so what each cone kept for its
+    # next run goes; a state repaired again joins in full and finds
+    # nothing to change.
+    st = engine._state_of(workloads.chain(ENV, 6, 3))
+    st.repair(full=True)
+    assert st.kept
+    st.realization()
+    assert st.kept == {}
+    clock = st.clock
+    st.clean_at.clear()
+    st.repair(full=True)
+    assert st.clock == clock
+
+
 def test_chain_past_the_benchmark_sizes_reaches_its_fixpoint():
     n = 60
     res = saturate(workloads.chain(ENV, n, 7), [MP_RULE],
