@@ -660,8 +660,8 @@ def rules_of(loc: Localiser) -> list[Rule]:
     out: list[Rule] = []
     for rec in loc.broken:
         h, c = yoneda_arrow(sk, rec.h), yoneda_arrow(sk, rec.c)
-        apex, fresh_ob = sk.arrows[rec.h].tgt, sk.arrows[rec.h].src
-        out.append(Rule(rec.c, h.src, c.src, h.tgt, h, c, apex, fresh_ob,
+        apex = sk.arrows[rec.h].tgt
+        out.append(Rule(rec.c, h.src, c.src, h.tgt, h, c, apex, rec.fresh,
                         rec.h, rec.c, generator_of(apex)))
     return sorted(out, key=lambda r: r.id)
 

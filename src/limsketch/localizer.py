@@ -69,8 +69,8 @@ def as_localiser(m: SketchMorphism) -> Localiser:
 
     A mono whose image is the identity path marks a broken span: its
     source is the fresh partial-domain object, and the other arrow out
-    of that object is the replacement leg.  This lets a localiser loaded
-    from a file regain the structure ``break_cycles`` returned.
+    of that object is the replacement leg.  Localisers loaded from a file
+    and those built by ``break_cycles`` are both read this way.
     """
     records = []
     for h in sorted(m.src.monos):
@@ -332,29 +332,23 @@ def break_cycles(sk: Sketch, plan: list[str] | None = None) -> tuple[Sketch, Loc
     if plan is None:
         plan = default_plan(sk)
     projs = projection_arrows(sk)
-    seen: set[str] = set()
-    records: list[BrokenRecord] = []
     cur = sk
-    for c in sorted(plan):
-        if c in seen:
-            continue
-        seen.add(c)
-        if c not in cur.arrows:
+    for c in sorted(set(plan)):
+        if c not in sk.arrows:
             raise ValueError(f"cannot break {c!r}: not a declared arrow")
         if c in projs:
             raise ValueError(f"cannot break projection {c!r}: it belongs to a cone")
-        cur, rec = _break_one(cur, c)
-        records.append(rec)
+        cur = _break_one(cur, c)
     object_map = {ob: ob for ob in cur.objects}
     arrow_map = {a: (a,) for a in cur.arrows}
-    for rec in records:
-        object_map[rec.fresh] = sk.arrows[rec.c].src
-        arrow_map[rec.h] = ()
+    for h in cur.monos - sk.monos:
+        arrow_map[h] = ()
+        object_map[cur.arrows[h].src] = cur.arrows[h].tgt
     sigma = SketchMorphism(src=cur, tgt=sk, object_map=object_map, arrow_map=arrow_map)
-    return cur, Localiser(underlying=sigma, broken=tuple(records))
+    return cur, as_localiser(sigma)
 
 
-def _break_one(sk: Sketch, c: str) -> tuple[Sketch, BrokenRecord]:
+def _break_one(sk: Sketch, c: str) -> Sketch:
     decl = sk.arrows[c]
     fresh = f"{decl.src}_part_{c}"
     mono = f"h_{c}"
@@ -370,7 +364,7 @@ def _break_one(sk: Sketch, c: str) -> tuple[Sketch, BrokenRecord]:
 
     equations = tuple(_rewrite_equation(eq, c, mono, i) for i, eq in enumerate(sk.equations))
     cones = {name: _rewrite_cone(cone, c, mono, fresh) for name, cone in sk.cones.items()}
-    out = Sketch(
+    return Sketch(
         name=sk.name,
         objects=sk.objects + (fresh,),
         arrows=arrows,
@@ -378,7 +372,6 @@ def _break_one(sk: Sketch, c: str) -> tuple[Sketch, BrokenRecord]:
         cones=cones,
         monos=sk.monos | {mono},
     )
-    return out, BrokenRecord(h=mono, c=c, fresh=fresh)
 
 
 def _rewrite_equation(eq: PathEquation, c: str, mono: str, idx: int) -> PathEquation:
@@ -424,5 +417,3 @@ def _rewrite_cone(cone: Cone, c: str, mono: str, fresh: str) -> Cone:
         edges=tuple(edges),
         projections=cone.projections,
     )
-
-

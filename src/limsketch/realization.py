@@ -422,7 +422,7 @@ def _propagate(
     todo: list[tuple] = []
     for ob, m in seed.items():
         for x, y in m.items():
-            if x not in src.carrier[ob] or y not in tgt.carrier[ob]:
+            if ob not in comp or x not in src.carrier[ob] or y not in tgt.carrier[ob]:
                 raise ValueError(f"seed {x!r} -> {y!r} not in the {ob!r} carriers")
             comp[ob][x] = y
             todo.append((ob, x, y))

@@ -116,6 +116,14 @@ def test_cli_refusals_exit_two(argv, files, message, tmp_path, capsys):
     assert failure(argv, capsys, 2) == f"error: {message}"
 
 
+def test_break_refuses_a_plan_naming_a_fresh_mono(tmp_path, capsys):
+    argv = ["break", MP, "--sketch", "mp_theory", "--plan", "c_MP,h_c_MP",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: cannot break 'h_c_MP': not a declared arrow\n"
+
+
 @pytest.mark.parametrize("script, message", [
     (f"use {MP}\nstep MP m0\n", "{script}:2: step before any 'spec' line"),
     (f"use {MP}\nspec mp_basic\nfrobnicate now\n",

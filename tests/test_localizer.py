@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+from importlib import resources
+
 import pytest
 
+from limsketch import dsl
 from limsketch.localizer import (
     BrokenRecord,
     as_localiser,
@@ -245,3 +249,43 @@ def test_localiser_reconstructed_from_morphism():
     _, loc = break_cycles(mp)
     rebuilt = as_localiser(loc.underlying)
     assert rebuilt.broken == loc.broken
+
+
+def corpus_sketches() -> list[Sketch]:
+    corpus = resources.files("limsketch") / "corpus"
+    return [d for name in ("mp.sk", "graph.sk", "magma.sk", "bank.sk")
+            for d in dsl.parse_path(corpus / name) if isinstance(d, Sketch)]
+
+
+def random_plan(rng: random.Random, sk: Sketch) -> list[str]:
+    """0-4 of ``sk``'s arrows, sometimes one twice or an ``h_<arrow>``."""
+    names = sorted(sk.arrows)
+    plan = rng.sample(names, rng.randint(0, min(4, len(names))))
+    if plan and rng.random() < 0.3:
+        plan.append(rng.choice(plan))
+    if rng.random() < 0.2:
+        plan.append("h_" + rng.choice(names))
+    return plan
+
+
+def test_every_accepted_plan_is_read_back_off_its_morphism():
+    rng = random.Random(20)
+    sketches = corpus_sketches()
+    accepted = 0
+    for _ in range(400):
+        sk = rng.choice(sketches)
+        plan = random_plan(rng, sk)
+        try:
+            sp, loc = break_cycles(sk, plan)
+        except ValueError:
+            continue
+        accepted += 1
+        m = loc.underlying
+        assert validate_sketch(sp).ok and check_sketch_morphism(m).ok
+        assert (m.src, m.tgt) == (sp, sk)
+        assert loc == as_localiser(m)
+        assert sorted(r.c for r in loc.broken) == sorted(set(plan))
+        for rec in loc.broken:
+            assert m.arrow_map[rec.h] == ()
+            assert m.object_map[rec.fresh] == sk.arrows[rec.c].src
+    assert accepted >= 100

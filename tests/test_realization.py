@@ -535,6 +535,13 @@ def test_extend_refuses_a_seed_outside_the_carriers():
         extend_morphism(R1, R2, {"E": {"x": "d"}})
 
 
+def test_extend_refuses_a_seed_at_an_unknown_object():
+    R = mk_graph(["v"], ["e"], {"e": "v"}, {"e": "v"})
+    with pytest.raises(ValueError,
+                       match="seed 'v' -> 'v' not in the 'Nope' carriers"):
+        extend_morphism(R, R, {"Nope": {"v": "v"}})
+
+
 def test_morphism_search_needs_one_sketch():
     R1, R2 = mk_graph(["v"], [], {}, {}), empty_realization(MAGMA)
     for search in (enumerate_morphisms,

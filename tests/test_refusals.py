@@ -126,6 +126,16 @@ def test_a_cone_must_map_to_a_cone():
         "no target cone matches the transported base (apex A)"),)
 
 
+def test_a_cone_must_map_to_a_cone_over_the_same_node_objects():
+    src = one_cone(Cone("c", "A", {"x": "B"}, (), {"x": "p"}), "p:A->B")
+    tgt = Sketch("t", ("A", "B", "C"), arrows("p:A->B", "q:A->C"), (), {
+        "d": Cone("d", "A", {"y": "C"}, (), {"y": "q"})})
+    m = SketchMorphism(src, tgt, {"A": "A", "B": "B"}, {"p": ("p",)})
+    assert check_sketch_morphism(m).violations == (Violation(
+        "cone-transport", "cone c",
+        "no target cone matches the transported base (apex A)"),)
+
+
 def test_a_path_is_equivalent_to_itself():
     assert paths_equivalent(GRAPH, ("s",), ("s",))
     assert paths_equivalent(GRAPH, (), ())
@@ -153,8 +163,10 @@ def test_a_path_is_equivalent_to_itself():
                    (ConeEdge("z", "a", ("g",)), ConeEdge("a", "b", ("f",)))),
               "f:A->B", "g:X->A", objects=("A", "B", "X")), ["f"],
      "cannot break 'f': cone c node 'a' has incoming edges"),
+    (Sketch("s", ("A", "B"), arrows("f:A->B")), ["f", "h_f"],
+     "cannot break 'h_f': not a declared arrow"),
 ], ids=["undeclared", "fresh-object", "fresh-mono", "mid-path",
-        "projected-node", "incoming-edges"])
+        "projected-node", "incoming-edges", "fresh-mono-in-plan"])
 def test_break_cycles_refuses(sk, plan, message):
     with pytest.raises(ValueError) as err:
         break_cycles(sk, plan)
