@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import filterfalse, islice
 from typing import Callable, Iterable
 
@@ -652,14 +653,15 @@ def rules_of(loc: Localiser) -> list[Rule]:
     Each broken arrow c: H' -> C with section witness h: H' -> H yields the
     rule whose legs are the Yoneda images Y(h): Y(H) -> Y(H') and
     Y(c): Y(C) -> Y(H'): the hypothesis at H, glued along the
-    representable at H' to the conclusion at C.
+    representable at H' to the conclusion at C; both legs share one Y(H').
     """
-    from .yoneda import generator_of, yoneda_arrow
+    from .yoneda import generator_of, representable, yoneda_arrow
 
     sk = loc.underlying.src
+    reps = cache(lambda ob: representable(sk, ob))
     out: list[Rule] = []
     for rec in loc.broken:
-        h, c = yoneda_arrow(sk, rec.h), yoneda_arrow(sk, rec.c)
+        h, c = yoneda_arrow(sk, rec.h, reps), yoneda_arrow(sk, rec.c, reps)
         apex = sk.arrows[rec.h].tgt
         out.append(Rule(rec.c, h.src, c.src, h.tgt, h, c, apex, rec.fresh,
                         rec.h, rec.c, generator_of(apex)))
@@ -671,24 +673,41 @@ def _satisfied(rule: Rule, spec: Realization) -> set[str]:
     return set(spec.action[rule.h_arrow].mapping.values())
 
 
+def _retarget(components: dict, tgt: Realization) -> dict[str, FinFunction]:
+    """``components`` moved into ``tgt``, whose carriers hold their values."""
+    return {ob: fn if fn.cod is tgt.carrier[ob] else
+            FinFunction(fn.dom, tgt.carrier[ob], fn.mapping)
+            for ob, fn in components.items()}
+
+
 def match_rule(rule: Rule, spec: Realization) -> list[Match]:
     """List all matches of ``rule`` in ``spec``, in carrier order.
 
     A match is satisfied when its element already lies in the image of the
     section witness arrow, i.e. the rule has already been applied there.
+
+    Matches are kept on ``spec``, outside its fields; a step whose chase
+    merged nothing hands them on to its result (:func:`apply_rule`), where
+    each old match, fixed by its generator's image, is moved to the new
+    carriers and only new apex elements are extended.
     """
-    image = _satisfied(rule, spec)
-    elements = spec.carrier[rule.apex].elements
-    out = []
-    for x, phi in zip(elements, _extensions(
+    image, elements = _satisfied(rule, spec), spec.carrier[rule.apex].elements
+    kept = spec.__dict__.setdefault("_matches", {})
+    old, comps = kept.get(rule.id, (None, ()))
+    comps = [_retarget(c, spec) for c in comps if old is rule]
+    new = elements[len(comps):]
+    for x, phi in zip(new, _extensions(
             rule.hypothesis, spec,
-            ({rule.apex: {rule.generator: x}} for x in elements))):
+            ({rule.apex: {rule.generator: x}} for x in new))):
         if phi is None:
             raise RuntimeError(
                 f"match {x} of rule {rule.id} has no classifying morphism; "
                 "is the specification cone-valid?")
-        out.append(Match(rule.id, x, x in image, phi))
-    return out
+        comps.append(phi.components)
+    kept[rule.id] = rule, comps
+    return [Match(rule.id, x, x in image,
+                  RealMorphism(rule.hypothesis, spec, c))
+            for x, c in zip(elements, comps)]
 
 
 def _glue_state(left: Realization, right: Realization,
@@ -754,6 +773,8 @@ def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
     st, _ = _glue_state(rule.glue, spec, rule.hyp_to_glue.components,
                         match.morphism.components)
     result = st.realization()
+    if not st.round_identified and "_matches" in spec.__dict__:
+        object.__setattr__(result, "_matches", dict(spec._matches))
     return Fraction(spec, result, result, st.leg(spec, result),
                     identity_morphism(result), "by-construction")
 
@@ -824,6 +845,21 @@ def _maps(phi: RealMorphism) -> dict[str, dict[str, str]]:
     return {ob: fn.mapping for ob, fn in phi.components.items()}
 
 
+def _glues_nothing(f1: Fraction, f2: Fraction) -> bool:
+    """Whether the pushout of ``f1.c`` and ``f2.h`` is ``f2.mid`` itself."""
+    S, M = f1.mid, f2.mid
+    if not (f1.tgt is S is f2.src and M._repaired
+            and f1.certificate == f2.certificate == "by-construction"):
+        return False
+    for ob, d in S.carrier.items():
+        one, fn = identity(d), f2.h.components[ob]
+        if f1.c.components[ob] is not one or fn is not one and (
+                fn.mapping != one.mapping
+                or M.carrier[ob].elements[:len(d)] != d.elements):
+            return False
+    return True
+
+
 def compose_fractions(f1: Fraction, f2: Fraction,
                       rules: list[Rule] | None = None,
                       cfg: ChaseConfig | None = None) -> Fraction:
@@ -833,14 +869,22 @@ def compose_fractions(f1: Fraction, f2: Fraction,
     both inputs carry a by-construction certificate so does the result;
     otherwise ``rules`` must be supplied and the composite is certified by
     saturating (certificate ``"checked"``).
+
+    When ``f1.c`` is an identity and ``f2.h`` keeps every name, old ones
+    first, into a repaired ``f2.mid``, the composite is ``(f2.h . f1.h,
+    f2.c)`` with no chase, as at each step of ``limsketch prove``.
     """
     if f1.tgt is not f2.src and f1.tgt != f2.src:
         raise ValueError("fractions do not meet end to end")
-    st, second_inj = _glue_state(f2.mid, f1.mid, f2.h.components,
-                                 f1.c.components)
-    mid = st.realization()
-    h = st.leg(f1.src, mid, _maps(f1.h))
-    c = st.leg(f2.tgt, mid, _maps(f2.c), second_inj)
+    if _glues_nothing(f1, f2):
+        mid, c = f2.mid, f2.c
+        h = RealMorphism(f1.src, mid, _retarget(f1.h.components, mid))
+    else:
+        st, second_inj = _glue_state(f2.mid, f1.mid, f2.h.components,
+                                     f1.c.components)
+        mid = st.realization()
+        h = st.leg(f1.src, mid, _maps(f1.h))
+        c = st.leg(f2.tgt, mid, _maps(f2.c), second_inj)
     checked = not (f1.certificate == f2.certificate == "by-construction")
     if checked and rules is None:
         raise ValueError("composing checked fractions needs the rule set to "

@@ -47,17 +47,18 @@ def representable(sk: Sketch, ob: str) -> Representable:
     return Representable(ob, st.realization(), generator)
 
 
-def yoneda_arrow(sk: Sketch, arrow: str) -> RealMorphism:
+def yoneda_arrow(sk: Sketch, arrow: str, rep=None) -> RealMorphism:
     """The contravariant action on an arrow f: X -> Z, as Y(Z) -> Y(X).
 
     Sends Z's generator to the image of X's generator under the recorded
-    action of f, then extends uniquely.
+    action of f, then extends uniquely.  ``rep(ob)``, if given, supplies
+    the representable at ``ob`` in place of a new chase.
     """
     decl = sk.arrows.get(arrow)
     if decl is None:
         raise ValueError(f"unknown arrow {arrow!r} in sketch {sk.name}")
-    y_src = representable(sk, decl.src)
-    y_tgt = representable(sk, decl.tgt)
+    rep = rep or (lambda ob: representable(sk, ob))
+    y_src, y_tgt = rep(decl.src), rep(decl.tgt)
     target_image = y_src.spec.action[arrow](y_src.generator)
     phi = extend_morphism(y_tgt.spec, y_src.spec,
                           {decl.tgt: {y_tgt.generator: target_image}})

@@ -136,6 +136,12 @@ def test_rules_shape_and_profiles():
         "For": 1, "Theo": 1, "H_IM": 1, "C_IM": 1, "C_MP": 1}
 
 
+def test_rules_of_chases_each_glue_representable_once():
+    # both legs of a rule's span land in the one glue it holds
+    for rule in RULES:
+        assert rule.glue is rule.hyp_to_glue.tgt is rule.concl_to_glue.tgt
+
+
 def test_rule_inclusions_are_morphisms():
     for rule in RULES:
         assert check_morphism(rule.hyp_to_glue).ok
