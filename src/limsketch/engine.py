@@ -181,6 +181,10 @@ class _Chase:
     representatives are always the oldest element of their class, so input
     names survive identification with freshly created ones.  Action tables
     are keyed by representatives; reads resolve values, never write back.
+    An object that has never merged has every element as its own root, so
+    an arrow into it is read through its table's bare ``get`` and its
+    representatives are its elements; its first merge re-binds those reads
+    to resolve through ``find`` and drops the cone readers built on them.
 
     Repair skips whole units.  A clock ticks on every change (a batch of
     elements created, a merge, a batch of action values written, an
@@ -218,10 +222,10 @@ class _Chase:
         self.act: dict[str, dict[str, str]] = {
             a: dict(actions.get(a, {})) for a in sk.arrows
         }
+        self.merged = dict.fromkeys(sk.objects, 0)
         self.lookups = {a: self._lookup(a) for a in sk.arrows}
         self.joins: dict[str, tuple] = {}
         self.kept: dict[str, tuple] = {}
-        self.merged = dict.fromkeys(sk.objects, 0)
         self.pending: deque[tuple[str, str, str]] = deque()
         self.round_added: dict[str, list[str]] = {ob: [] for ob in sk.objects}
         self.round_identified: list[tuple[str, str, str]] = []
@@ -268,13 +272,18 @@ class _Chase:
         return self.fresh_many(ob, 1)[0]
 
     def reps(self, ob: str) -> list[str]:
-        return self.uf[ob].roots()
+        uf = self.uf[ob]
+        return uf.roots() if self.merged[ob] else list(uf.parent)
 
     # -- actions ----------------------------------------------------------
 
     def _lookup(self, aid: str) -> Callable[[str], str | None]:
-        """One arrow's value at an element, resolved to its class."""
-        table, find = self.act[aid].get, self.uf[self.sk.arrows[aid].tgt].find
+        """One arrow's value at an element, resolved to its class: the
+        table's own ``get`` while the arrow's target has never merged."""
+        tgt, table = self.sk.arrows[aid].tgt, self.act[aid].get
+        if not self.merged[tgt]:
+            return table
+        find = self.uf[tgt].find
 
         def lookup(x: str) -> str | None:
             v = table(x)
@@ -332,7 +341,14 @@ class _Chase:
             keep, drop = roots
             self.round_identified.append((ob, keep, drop))
             self._touch_object(ob)
-            self.merged[ob] = self.clock
+            first, self.merged[ob] = not self.merged[ob], self.clock
+            if first:
+                # Every element of ``ob`` was its own root until now: reads
+                # of the arrows into it, and the cone readers built on
+                # them, go through ``find`` from here on.
+                self.lookups.update((a, self._lookup(a)) for a, d in
+                                    self.sk.arrows.items() if d.tgt == ob)
+                self.joins.clear()
             for aid in self.out_arrows[ob]:
                 table = self.act[aid]
                 moved = table.pop(drop, None)
@@ -349,10 +365,15 @@ class _Chase:
         """Whether unit ``i`` of ``kind`` changed nothing in its last run
         and nothing it reads has changed since."""
         since = self.clean_at.get((kind, i))
-        objects, arrows = reads
-        return since is not None and all(
-            self.ob_stamp[ob] <= since for ob in objects) and all(
-            self.arrow_stamp[a] <= since for a in arrows)
+        if since is None:
+            return False
+        for ob in reads[0]:
+            if self.ob_stamp[ob] > since:
+                return False
+        for a in reads[1]:
+            if self.arrow_stamp[a] > since:
+                return False
+        return True
 
     def _pass(self, kind: str, repair) -> None:
         """Run ``repair`` on each unit of one pass kind, skipping a clean
@@ -590,8 +611,10 @@ class _Chase:
             names = d.elements
             for s in steps:
                 names = map(s[ob].__getitem__, names)
-            out[ob] = FinFunction(d, result.carrier[ob], dict(
-                zip(d.elements, map(self.uf[ob].find, names))))
+            if self.merged[ob]:
+                names = map(self.uf[ob].find, names)
+            out[ob] = FinFunction(d, result.carrier[ob],
+                                  dict(zip(d.elements, names)))
         return RealMorphism(src, result, out)
 
 

@@ -503,6 +503,12 @@ def test_fresh_many_is_k_fresh_calls(twin, k):
     got = st.fresh_many("For", k)
     assert got == [one_at_a_time.fresh("For") for _ in range(k)] == FREE[:k]
     assert creation_state(st) == creation_state(one_at_a_time)
+    # No seeded name collides with Theo#1 onwards.
+    st, one_at_a_time = seeded(engine._Chase), seeded(twin)
+    got = st.fresh_many("Theo", k)
+    assert got == [one_at_a_time.fresh("Theo") for _ in range(k)] == [
+        f"Theo#{i}" for i in range(1, k + 1)]
+    assert creation_state(st) == creation_state(one_at_a_time)
 
 
 def test_fresh_many_of_zero_changes_nothing():
