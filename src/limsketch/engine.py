@@ -472,7 +472,7 @@ class _Chase:
         # Comparison surjectivity: every family needs an apex element.
         keys = plan.nodes[:k]
         missing = list(filterfalse(seen.__contains__, first))
-        xs = self.fresh_many(cone.apex, len(missing))
+        xs = missing and self.fresh_many(cone.apex, len(missing))
         for n, column in zip(keys, zip(*missing)):
             self.write_many(cone.projections[n], dict(zip(xs, column)))
         seen.update(zip(missing, xs))
@@ -745,21 +745,13 @@ def _glue_state(left: Realization, right: Realization,
     element in the image of ``left_leg`` is identified with its partners
     in ``right``, and every other one joins under its own name, primed
     until the name is free.  Returns the repaired state and the names of
-    ``left``'s elements in it.
-
-    An object whose carrier both sides share, with identity legs, glues
-    nothing, nor does an arrow both sides share between two such objects.
+    ``left``'s elements in it.  Every object and arrow glues the same way;
+    one that both sides share, with identity legs, adds and writes nothing,
+    so it keeps stamp 0 and ``right``'s own carrier and action.
     """
     st = _state_of(right)
     names: dict[str, dict[str, str]] = {}
-    shared = set()
     for ob in st.sk.objects:
-        d = right.carrier[ob]
-        if left.carrier[ob] is d and \
-                left_leg[ob] is right_leg[ob] is identity(d):
-            names[ob] = identity(d).mapping
-            shared.add(ob)
-            continue
         names[ob] = own = {}
         for a, x in left_leg[ob].mapping.items():
             y = right_leg[ob](a)
@@ -773,9 +765,6 @@ def _glue_state(left: Realization, right: Realization,
                 st._add(ob, [name])
                 own[x] = name
     for aid, decl in st.sk.arrows.items():
-        if left.action[aid] is right.action[aid] and \
-                decl.src in shared and decl.tgt in shared:
-            continue
         for x, y in left.action[aid].mapping.items():
             st.put(aid, names[decl.src][x], names[decl.tgt][y])
     st.drain()

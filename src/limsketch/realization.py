@@ -254,7 +254,14 @@ def restrict_along(sigma: SketchMorphism, R: Realization) -> Realization:
                              for a in sigma.arrow_map[aid]])
         action[aid] = FinFunction(carrier[decl.src], carrier[decl.tgt],
                                   {x: f(x) for x in carrier[decl.src]})
-    return Realization(over=sigma.src, carrier=carrier, action=action)
+    out = Realization(over=sigma.src, carrier=carrier, action=action)
+    # An equation image the rewriting could not confirm may fail in ``out``.
+    if any(v.code == "equation-not-confirmed" for v in report.violations):
+        bad = check_realization(out).violations
+        if bad:
+            raise ValueError(f"restriction along the morphism is not a model: "
+                             f"{bad[0].code} at {bad[0].where}: {bad[0].message}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from limsketch import cli
 from limsketch.cli import corpus_dir, main
+from test_refusals import BROKEN_EQUATION
 
 MP = str(corpus_dir() / "mp.sk")
 BANK = corpus_dir() / "bank.sk"
@@ -59,6 +60,21 @@ def test_transport_along_an_invalid_morphism_exits_two(tmp_path, capsys):
                     "forget_decorations", "--spec", "acct_decorated"],
                    capsys, 2)
     assert "invalid sketch morphism" in line
+
+
+def test_transport_that_breaks_an_equation_exits_two_and_writes_nothing(
+        tmp_path, capsys):
+    path, out = tmp_path / "st.sk", tmp_path / "out"
+    path.write_text(BROKEN_EQUATION)
+    assert main(["validate", str(path)]) == 0
+    assert "warning: equation-not-confirmed at equation#0" in \
+        capsys.readouterr().out
+    line = failure(["transport", str(path), "--morphism", "m", "--spec",
+                    "two", "--out", str(out)], capsys, 2)
+    assert line == ("error: restriction along the morphism is not a model: "
+                    "equation-violated at equation#0: sides disagree at "
+                    "'a': 'b0' != 'b1'")
+    assert not out.exists()
 
 
 def test_prove_step_at_a_satisfied_match_exits_two(tmp_path, capsys):

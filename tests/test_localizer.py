@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from limsketch import dsl
+from limsketch import dsl, engine
 from limsketch.localizer import (
     BrokenRecord,
     as_localiser,
@@ -25,6 +25,7 @@ from limsketch.sketch import (
     builtin_sketches,
     validate_sketch,
 )
+from limsketch.yoneda import representable
 from oracle_surface import identity_morphism
 
 
@@ -289,3 +290,45 @@ def test_every_accepted_plan_is_read_back_off_its_morphism():
             assert m.arrow_map[rec.h] == ()
             assert m.object_map[rec.fresh] == sk.arrows[rec.c].src
     assert accepted >= 100
+
+
+def random_cyclic_sketch(rng: random.Random) -> Sketch | None:
+    """2-4 objects, 2-6 arrows in any direction, and 0-2 binary product
+    cones, each on its own apex over objects that are no apex; None when
+    no cycle goes through a plain arrow."""
+    objects = tuple("ABCD"[:rng.randint(2, 4)])
+    apexes = rng.sample(objects, rng.randint(0, min(2, len(objects) - 1)))
+    bases = [ob for ob in objects if ob not in apexes]
+    arrows, cones = {}, {}
+    for i in range(rng.randint(2, 6)):
+        arrows[f"f{i}"] = ArrowDecl(f"f{i}", rng.choice(objects),
+                                    rng.choice(objects))
+    for k, apex in enumerate(apexes):
+        nodes = {n: rng.choice(bases) for n in ("l", "r")}
+        for n, ob in nodes.items():
+            arrows[f"p{k}{n}"] = ArrowDecl(f"p{k}{n}", apex, ob)
+        cones[f"prod{k}"] = Cone(f"prod{k}", apex, nodes,
+                                 projections={n: f"p{k}{n}" for n in nodes})
+    sk = Sketch("random", objects, arrows, cones=cones)
+    assert validate_sketch(sk).ok
+    return sk if find_cycles(sk).cycles else None
+
+
+def test_broken_cycles_leave_every_representable_finite(monkeypatch):
+    """The premise of cycle breaking: over random cyclic sketches, the
+    default plan gives a valid sketch with no cycle through a plain arrow,
+    and the representable at each of its objects closes up within a small
+    element budget."""
+    monkeypatch.setattr(engine, "_MAX_ELEMENTS", 3000)
+    rng = random.Random(12)
+    checked = 0
+    while checked < 400:
+        sk = random_cyclic_sketch(rng)
+        if sk is None:
+            continue
+        sp, loc = break_cycles(sk)
+        assert validate_sketch(sp).ok and loc.broken, sk
+        assert find_cycles(sp).cycles == (), sk
+        for ob in sp.objects:
+            representable(sp, ob)
+        checked += 1

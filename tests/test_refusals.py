@@ -5,10 +5,11 @@ one check, and pins the code or message the check reports.
 """
 
 import json
+from importlib import resources
 
 import pytest
 
-from limsketch import dsl, engine
+from limsketch import dsl, engine, realization
 from limsketch.engine import (
     ChaseConfig,
     ChaseResult,
@@ -22,7 +23,12 @@ from limsketch.localizer import (
     check_sketch_morphism,
     paths_equivalent,
 )
-from limsketch.realization import RealMorphism, Realization, identity_morphism
+from limsketch.realization import (
+    RealMorphism,
+    Realization,
+    identity_morphism,
+    restrict_along,
+)
 from limsketch.sketch import (
     ArrowDecl,
     Cone,
@@ -35,6 +41,7 @@ from limsketch.sketch import (
 )
 from oracle_surface import finset
 
+CORPUS = resources.files("limsketch") / "corpus"
 GRAPH = builtin_sketches()["graph"]
 
 
@@ -190,6 +197,81 @@ def test_a_config_without_max_rounds_takes_the_default():
     want = dsl.NamedConfig("c", ChaseConfig(rule_subset=("c_MP",)))
     assert from_text == from_json == want
     assert from_json.config.max_rounds == ChaseConfig.max_rounds
+
+
+# -- restriction along a morphism that breaks an equation -------------------
+
+# ``s`` states f = g; ``t`` leaves f and g free, and ``m`` maps each to
+# itself, which check_sketch_morphism can only warn about.  ``two`` over t
+# separates f and g at ``a``; ``one`` does not.
+BROKEN_EQUATION = """\
+sketch s {
+  object A
+  object B
+  arrow f : A -> B
+  arrow g : A -> B
+  eq f = g
+}
+
+sketch t {
+  object A
+  object B
+  arrow f : A -> B
+  arrow g : A -> B
+}
+
+morphism m : s -> t {
+  obj A => A
+  obj B => B
+  arr f => f
+  arr g => g
+}
+
+spec two over t {
+  elem a : A
+  elem b0 : B
+  elem b1 : B
+  act f(a) = b0
+  act g(a) = b1
+}
+
+spec one over t {
+  elem a : A
+  elem b : B
+  act f(a) = b
+  act g(a) = b
+}
+"""
+
+
+def test_a_restriction_that_is_not_a_model_is_refused():
+    decls = {d.name: d for d in dsl.parse(BROKEN_EQUATION)}
+    m = decls["m"].morphism
+    assert [v.code for v in check_sketch_morphism(m).violations] == [
+        "equation-not-confirmed"]
+    with pytest.raises(ValueError) as err:
+        restrict_along(m, decls["two"].realization)
+    assert str(err.value) == (
+        "restriction along the morphism is not a model: equation-violated "
+        "at equation#0: sides disagree at 'a': 'b0' != 'b1'")
+    one = restrict_along(m, decls["one"].realization)
+    assert one.over is m.src and one.action["f"] == one.action["g"]
+
+
+def test_a_confirmed_morphism_restricts_without_a_check(monkeypatch):
+    """``mp_sigma`` maps an equation that the rewriting confirms, so its
+    restriction is never checked, even of an empty realization."""
+    sigma = next(d.morphism for d in dsl.parse_path(CORPUS / "mp.sk")
+                 if d.name == "mp_sigma")
+    assert sigma.src.equations and check_sketch_morphism(sigma).violations == ()
+    empty = Realization(sigma.tgt, {ob: finset(()) for ob in sigma.tgt.objects},
+                        {a: FinFunction(finset(()), finset(()), {})
+                         for a in sigma.tgt.arrows})
+
+    def unreachable(R):
+        raise AssertionError("every equation image is confirmed")
+    monkeypatch.setattr(realization, "check_realization", unreachable)
+    assert restrict_along(sigma, empty).over is sigma.src
 
 
 # -- induced_isomorphism ---------------------------------------------------

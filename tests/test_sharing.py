@@ -217,6 +217,24 @@ def test_glue_along_a_non_identity_leg_of_a_shared_carrier():
     assert got[2][1], "the swap identifies elements"
 
 
+def test_a_shared_object_with_identity_legs_glues_nothing():
+    """A repaired saturation glued onto itself along identities at every
+    object: the one glue loop adds and writes nothing, so the state is
+    still at clock 0 and hands back the input's own carriers and actions,
+    marked repaired, with every element named after itself."""
+    spec = saturate(workloads.chain(ENV, 4, 9), [MP_RULE]).result
+    assert spec._repaired
+    ids = identity_morphism(spec).components
+    st, names = _glue_state(spec, spec, ids, ids)
+    assert st.clock == 0
+    out = st.realization()
+    assert all(out.carrier[ob] is spec.carrier[ob] for ob in spec.carrier)
+    assert all(out.action[a] is spec.action[a] for a in spec.action)
+    assert out._repaired
+    assert names == {ob: identity(spec.carrier[ob]).mapping
+                     for ob in spec.over.objects}
+
+
 def test_cone_index_follows_the_projections():
     """Two magmas share the apex carrier M2 and swap s and t: the prod
     index kept on M2 for the first must not serve the second."""
