@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -140,7 +139,7 @@ def _emit(args, doc, lines, path=None) -> None:
     """Print a command's output, or write it to ``path``, in the
     ``--format`` it was given, the one place that reads it: the JSON dump
     of ``doc``, or the text lines that ``lines(doc)`` renders from it."""
-    out = json.dumps(doc, indent=2) + "\n" if args.format == "json" else \
+    out = dsl.dump_json(doc) + "\n" if args.format == "json" else \
         "".join(f"{line}\n" for line in lines(doc))
     (sys.stdout.write if path is None else path.write_text)(out)
 

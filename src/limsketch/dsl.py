@@ -813,7 +813,8 @@ def parse(text: str, env: dict[str, Sketch] | None = None) -> list:
     """
     p = _Parser(text, env)
     p.parse()
-    return p.build.finish()
+    build, p.build = p.build, None  # build.locate is bound to p: no cycle
+    return build.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1047,22 @@ def to_jsonable(x):
 
 
 def serialize_json(x) -> str:
-    return json.dumps(to_jsonable(x), indent=2)
+    return dump_json(to_jsonable(x))
+
+
+def dump_json(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2)`` byte for byte, for str-keyed ``x``.  A
+    container of strings alone goes through the C encoder in one call."""
+    if not isinstance(x, (dict, list, tuple)) or not x:
+        return json.dumps(x)
+    inner = pad + "  "
+    if all(isinstance(v, str) for v in (x.values() if isinstance(x, dict) else x)):
+        s = json.dumps(x, separators=("," + inner, ": "))
+        return s[0] + inner + s[1:-1] + pad + s[-1]
+    if isinstance(x, dict):
+        items = (f"{json.dumps(k)}: {dump_json(v, inner)}" for k, v in x.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join(dump_json(v, inner) for v in x) + pad + "]"
 
 
 def parse_json(source, env: dict[str, Sketch] | None = None) -> list:
@@ -1058,7 +1074,11 @@ def parse_json(source, env: dict[str, Sketch] | None = None) -> list:
     """
     if isinstance(source, str):
         try:
-            data = json.loads(source, object_pairs_hook=_Object)
+            # one colon per member outside strings: more colons than members
+            # kept means a repeated key (or a colon in a string), so keep pairs
+            data = json.loads(source)
+            if source.count(":") != _members(data):
+                data = json.loads(source, object_pairs_hook=_Object)
         except json.JSONDecodeError as e:
             raise ParseError([ParseIssue(e.lineno, e.colno, e.msg)]) from e
     else:
@@ -1084,6 +1104,15 @@ class _Object(dict):
 
     def items(self):
         return self.pairs or super().items()
+
+
+def _members(x) -> int:
+    """The members of every JSON object within ``x``."""
+    if isinstance(x, dict):
+        return len(x) + _members(list(x.values()))
+    if isinstance(x, list):
+        return sum(map(_members, [v for v in x if not isinstance(v, str)]))
+    return 0
 
 
 def _list(x) -> list:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .finset import (
@@ -108,8 +110,9 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
 
     Each realized apex tuple is the restriction of some family, so once the
     distinct restrictions outnumber the distinct apex tuples the comparison
-    is not surjective.  The enumeration stops there and one violation names
-    the first restriction no apex element reaches; an apex tuple not
+    is not surjective.  The enumeration, counted in batches of that many
+    families plus one, stops within a batch of there, and one violation
+    names the first restriction no apex element reaches; an apex tuple not
     enumerated by then is looked up with its projections pinned.
     """
     where = f"cone {cone.name}"
@@ -119,14 +122,13 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
     candidates = [R.carrier[ob].elements for ob in objects]
     apex = list(apex_tuples(R.carrier[cone.apex].elements, legs))
     limit = len({t for _, t in apex})
-    counts: dict[tuple[str, ...], int] = {}
-    complete = True
-    for fam in join(plan, candidates, paths):
-        t = fam[:k]
-        counts[t] = counts.get(t, 0) + 1
+    counts: Counter = Counter()
+    families, restrict = join(plan, candidates, paths), itemgetter(slice(0, k))
+    for batch in iter(lambda: list(itertools.islice(families, limit + 1)), []):
+        counts.update(map(restrict, batch))
         if len(counts) > limit:
-            complete = False
             break
+    complete = len(counts) <= limit
     # Once counts are partial, an apex tuple not among them is looked up
     # by one plan seeded at the projected nodes, with shared buckets.
     pinned_plan = None if complete else seeded(plan.nodes[:k])
@@ -155,11 +157,11 @@ def _check_cone(R: Realization, cone: Cone, out: list[Violation]) -> None:
             f"no apex element projects to the family restriction {t}, the first of "
             f"more restrictions than apex tuples; the enumeration stopped there"))
         return
-    for t, n in sorted(counts.items()):
+    for t in sorted(t for t, n in counts.items() if n > 1 or t not in seen):
         if t not in seen:
             out.append(Violation("cone-comparison-not-surjective", where,
                                  f"no apex element projects to the family restriction {t}"))
-        if n > 1:
+        if (n := counts[t]) > 1:
             out.append(Violation("cone-ambiguous-extension", where,
                                  f"restriction {t} extends to {n} distinct base families"))
 
