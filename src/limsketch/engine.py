@@ -37,7 +37,7 @@ from .realization import (
     identity_morphism,
     restrict_along,
 )
-from .sketch import Cone, Sketch
+from .sketch import Cone, Sketch, cached_on
 
 # Hard stops for runaway chases.  Passes loop within one repair call; the
 # element budget counts every name ever created in a single chase state.
@@ -174,6 +174,12 @@ def _repair_units(sk: Sketch) -> dict[str, list[tuple[object, _Reads]]]:
     }
 
 
+def _out_arrows(sk: Sketch) -> dict[str, list[str]]:
+    """Each object's arrows out, by name."""
+    return {ob: [a for a in sorted(sk.arrows) if sk.arrows[a].src == ob]
+            for ob in sk.objects}
+
+
 class _Chase:
     """Mutable chase state: named elements, partial actions, a union-find.
 
@@ -200,25 +206,27 @@ class _Chase:
 
     Seeding is not a change: the clock and every stamp start at 0.  A state
     seeded from a realization, its ``base``, shares with it each carrier
-    and action still as seeded.
+    and action still as seeded.  An object's union-find is built from its
+    seed at the first add, merge or ``birth`` read there (:meth:`_uf`), and
+    its elements are read off the seed until then.  The repair units,
+    out-arrows and cone plans are made once per sketch.
     """
 
     def __init__(self, sk: Sketch, carriers: dict[str, tuple[str, ...]],
                  actions: dict[str, dict[str, str]]):
         self.sk = sk
         self.base: Realization | None = None
-        self.uf = {ob: UnionFind(carriers.get(ob, ())) for ob in sk.objects}
+        self.seed = {ob: carriers.get(ob, ()) for ob in sk.objects}
+        self.uf: dict[str, UnionFind] = {}
         self.created = 0
-        self._count(sum(len(uf.parent) for uf in self.uf.values()))
+        self._count(sum(map(len, self.seed.values())))
         self.fresh_counter = 0
         self.clock = 0
         self.ob_stamp = dict.fromkeys(sk.objects, 0)
         self.arrow_stamp = dict.fromkeys(sk.arrows, 0)
-        self.units = _repair_units(sk)
+        self.units = cached_on(sk, _repair_units)
         self.clean_at: dict[tuple[str, int], int] = {}
-        self.out_arrows: dict[str, list[str]] = {ob: [] for ob in sk.objects}
-        for aid in sorted(sk.arrows):
-            self.out_arrows[sk.arrows[aid].src].append(aid)
+        self.out_arrows = cached_on(sk, _out_arrows)
         self.act: dict[str, dict[str, str]] = {
             a: dict(actions.get(a, {})) for a in sk.arrows
         }
@@ -240,12 +248,24 @@ class _Chase:
                 "chase element budget exceeded; the sketch likely has an "
                 "unbroken productive cycle")
 
+    def _uf(self, ob: str) -> UnionFind:
+        """``ob``'s union-find, built from its seed at the first call."""
+        uf = self.uf.get(ob)
+        if uf is None:
+            uf = self.uf[ob] = UnionFind(self.seed[ob])
+        return uf
+
+    def _elements(self, ob: str):
+        """``ob``'s elements so far, in order: its seed until :meth:`_uf`."""
+        uf = self.uf.get(ob)
+        return self.seed[ob] if uf is None else uf.parent
+
     def _add(self, ob: str, names: list[str]) -> None:
         """Add new elements to ``ob``, in order; past the element budget,
         the chase diverges once the names that fit are added."""
         fits = names[:_MAX_ELEMENTS - self.created]
         if fits:
-            self.uf[ob].add_many(fits)
+            self._uf(ob).add_many(fits)
             self._touch_object(ob)
         self._count(len(names))
 
@@ -257,7 +277,7 @@ class _Chase:
         """``k`` new elements of ``ob``, named ``ob#i`` for the next free
         counter values; names, counts and the budget's stop are those of
         ``k`` calls of :meth:`fresh`."""
-        parent, names, c = self.uf[ob].parent, [], self.fresh_counter
+        parent, names, c = self._uf(ob).parent, [], self.fresh_counter
         while len(names) < k:
             name = f"{ob}#{c}"
             c += 1
@@ -272,8 +292,13 @@ class _Chase:
         return self.fresh_many(ob, 1)[0]
 
     def reps(self, ob: str) -> list[str]:
-        uf = self.uf[ob]
-        return uf.roots() if self.merged[ob] else list(uf.parent)
+        return self.uf[ob].roots() if self.merged[ob] else list(
+            self._elements(ob))
+
+    def since(self, ob: str, n: int) -> list[str]:
+        """The elements of ``ob`` made after its first ``n``, in order."""
+        uf = self.uf.get(ob)
+        return list(self.seed[ob][n:]) if uf is None else uf.since(n)
 
     # -- actions ----------------------------------------------------------
 
@@ -335,7 +360,7 @@ class _Chase:
         """Apply queued identifications, cascading through actions."""
         while self.pending:
             ob, a, b = self.pending.popleft()
-            roots = self.uf[ob].union(a, b)
+            roots = self._uf(ob).union(a, b)
             if roots is None:
                 continue
             keep, drop = roots
@@ -434,7 +459,7 @@ class _Chase:
                 *next(r for c, r in self.units["cone"] if c is cone))
         plan, objects, paths, legs, _, obs, arrows = self.joins[cone.name]
         k = len(legs)
-        mark = (self.clock, {ob: len(self.uf[ob].parent) for ob in obs},
+        mark = (self.clock, {ob: len(self._elements(ob)) for ob in obs},
                 {a: len(self.act[a]) for a in arrows})
         kept = self.kept.pop(cone.name, None)
         delta = kept and self._delta(cone, kept)
@@ -480,7 +505,7 @@ class _Chase:
         unrealised = [t for t in tuples if t not in first]
         for t in unrealised:
             self._create_family(cone, dict(zip(keys, t)))
-        self.kept[cone.name] = (mark, len(self.uf[cone.apex].parent), seen,
+        self.kept[cone.name] = (mark, len(self._elements(cone.apex)), seen,
                                 cands, buckets, count + len(first))
         self.drain()
 
@@ -491,10 +516,10 @@ class _Chase:
         arrow, with as many new base elements as old, or on a shared key."""
         (at, sizes, counts), apex, seen, cands, buckets, count = kept
         if any(self.merged[ob] > at for ob in sizes) or sum(
-                len(self.uf[ob].parent) - sizes[ob] for ob in cands) >= sum(
+                len(self._elements(ob)) - sizes[ob] for ob in cands) >= sum(
                 map(len, cands.values())):
             return None
-        new = {ob: self.uf[ob].since(m) for ob, m in sizes.items()}
+        new = {ob: self.since(ob, m) for ob, m in sizes.items()}
         if any(len(self.act[a]) - m != sum(map(
                 self.act[a].__contains__, new[self.sk.arrows[a].src]))
                for a, m in counts.items()):
@@ -503,15 +528,17 @@ class _Chase:
         for ob, xs in cands.items():
             xs += new[ob]
         # The full join yields families by each pick's candidate position.
-        fams = sorted(_families(join_new(
+        fams = _families(join_new(
             lambda i: seeded(plan.nodes[i:i + 1]),
             [cands[ob] for ob in objects], [new[ob] for ob in objects],
-            paths, buckets), count), key=lambda fam: [
-                self.uf[objects[p]].birth[fam[p]] for p, _, _ in plan.steps])
+            paths, buckets), count)
+        if len(fams) > 1:  # read births only where there is an order to fix
+            fams.sort(key=lambda fam: [self._uf(objects[p]).birth[fam[p]]
+                                       for p, _, _ in plan.steps])
         fresh = {fam[:len(cone.projections)]: fam for fam in fams}
         if len(fresh) < len(fams) or any(map(seen.__contains__, fresh)):
             return None
-        return fresh, self.uf[cone.apex].since(apex)
+        return fresh, self.since(cone.apex, apex)
 
     def _create_family(self, cone: Cone, values: dict[str, str]) -> None:
         """Realise a family extending ``values`` (the projected nodes)."""
@@ -760,7 +787,7 @@ def _glue_state(left: Realization, right: Realization,
         for x in left.carrier[ob].elements:
             if x not in own:
                 name = x
-                while name in st.uf[ob].parent:
+                while name in st._uf(ob).parent:
                     name += "'"
                 st._add(ob, [name])
                 own[x] = name

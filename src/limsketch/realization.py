@@ -19,7 +19,7 @@ from .finset import (
     plan_join,
 )
 from .localizer import SketchMorphism, check_sketch_morphism
-from .sketch import Cone, Sketch, ValidationReport, Violation
+from .sketch import Cone, Sketch, ValidationReport, Violation, cached_on
 
 
 @dataclass(frozen=True)
@@ -56,30 +56,28 @@ def identity_morphism(R: Realization) -> RealMorphism:
 # ---------------------------------------------------------------------------
 
 
-def _legs(cone: Cone) -> dict[str, str]:
-    """Each projected node's arrow, in leg order: by node name."""
-    return dict(sorted(cone.projections.items()))
-
-
-def cone_reader(cone: Cone, lookup: Callable[[str], Callable]) -> tuple:
-    """How the chase, the check and forced extension read ``cone``, with
-    ``lookup`` giving each arrow's partial function.
-
-    Returns the join plan over the base nodes in family order (the
-    projected nodes in leg order, then the rest sorted, so that a family's
-    restriction is its prefix), each node's object, one partial function
-    per edge path and one per leg, and a function planning the join seeded
-    at the nodes it is given (a tuple), each plan made once.
-    """
-    legs = _legs(cone)
+def _cone_plan(cone: Cone) -> tuple:
+    """The join plan over the base nodes in family order (projected nodes in
+    leg order, by name, then the rest sorted: a restriction is a prefix),
+    each node's object, edge's path and leg's arrow, and a memo planning the
+    join seeded at the nodes it is given (a tuple); kept by :func:`cached_on`."""
+    legs = dict(sorted(cone.projections.items()))
     nodes = [*legs, *sorted(cone.nodes.keys() - legs.keys())]
     edges = [(e.src, e.tgt) for e in cone.edges]
     plans: dict = {}
     return (plan_join(nodes, edges), [cone.nodes[n] for n in nodes],
-            [compose_partial([lookup(a) for a in e.path]) for e in cone.edges],
-            [lookup(a) for a in legs.values()],
+            [e.path for e in cone.edges], tuple(legs.values()),
             lambda at: plans.get(at) or plans.setdefault(
                 at, plan_join(nodes, edges, at)))
+
+
+def cone_reader(cone: Cone, lookup: Callable[[str], Callable]) -> tuple:
+    """How the chase, the check and forced extension read ``cone``, with
+    ``lookup`` giving each arrow's partial function: :func:`_cone_plan`
+    with one partial function per edge path and one per leg."""
+    plan, objects, paths, legs, seeded = cached_on(cone, _cone_plan)
+    paths = [compose_partial([lookup(a) for a in p]) for p in paths]
+    return plan, objects, paths, [lookup(a) for a in legs], seeded
 
 
 def apex_tuples(elements: Sequence[str], legs: Sequence[Callable]) -> Iterator:
@@ -287,8 +285,8 @@ def _free_objects(sk: Sketch, tgt: Realization) -> list[str]:
     apex_cone: dict[str, Cone] = {}
     for name in sorted(sk.cones):
         apex_cone.setdefault(sk.cones[name].apex, sk.cones[name])
-    free = {ob for ob in sk.objects if ob not in apex_cone or len(
-        _cone_index(tgt, ob, _legs(apex_cone[ob]).values())) < len(tgt.carrier[ob])}
+    free = {ob for ob in sk.objects if ob not in apex_cone or len(_cone_index(
+        tgt, ob, cached_on(apex_cone[ob], _cone_plan)[3])) < len(tgt.carrier[ob])}
     pinned = set(free)
     while True:
         ready = {apex for apex, cone in apex_cone.items() if apex not in pinned
@@ -396,7 +394,7 @@ def _extensions(
     for aid, decl in sk.arrows.items():
         arrows[decl.src].append((decl.tgt, src.action[aid].mapping, tgt.action[aid].mapping))
     lifts = [(sk.arrows[m].src, (m,)) for m in sorted(sk.monos)]
-    lifts += [(sk.cones[name].apex, tuple(_legs(sk.cones[name]).values()))
+    lifts += [(sk.cones[name].apex, cached_on(sk.cones[name], _cone_plan)[3])
               for name in sorted(sk.cones)]
     for apex, legs in lifts:
         index = _cone_index(tgt, apex, legs)

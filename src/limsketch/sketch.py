@@ -12,6 +12,17 @@ from dataclasses import dataclass, field
 from functools import cache
 
 
+def cached_on(owner, make):
+    """``make(owner)``, made once and kept on ``owner`` outside its fields,
+    which equality, ``repr``, ``replace`` and pickling read alone."""
+    store = owner.__dict__.setdefault("_cached", {})
+    return store[make] if make in store else store.setdefault(make, make(owner))
+
+
+def _fields_only(self) -> dict:
+    return {k: v for k, v in self.__dict__.items() if k != "_cached"}
+
+
 @dataclass(frozen=True)
 class ArrowDecl:
     id: str
@@ -56,6 +67,8 @@ class Cone:
     edges: tuple[ConeEdge, ...] = ()
     projections: dict[str, str] = field(default_factory=dict)
 
+    __getstate__ = _fields_only
+
 
 @dataclass(frozen=True)
 class Sketch:
@@ -65,6 +78,8 @@ class Sketch:
     equations: tuple[PathEquation, ...] = ()
     cones: dict[str, Cone] = field(default_factory=dict)
     monos: frozenset[str] = frozenset()
+
+    __getstate__ = _fields_only
 
 
 @dataclass(frozen=True)

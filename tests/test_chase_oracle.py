@@ -260,7 +260,7 @@ def test_reads_leave_the_chase_unchanged(monkeypatch):
         except ChaseDiverged:
             continue
         before = ({a: dict(t) for a, t in st.act.items()}, st.clock)
-        stale += any(st.uf[sk.arrows[a].tgt].find(y) != y
+        stale += any(st._uf(sk.arrows[a].tgt).find(y) != y
                      for a, t in st.act.items() for y in t.values())
         for a, d in sk.arrows.items():
             for x in st.reps(d.src):

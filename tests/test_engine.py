@@ -487,9 +487,12 @@ def seeded(chase_cls):
 
 
 def creation_state(st):
+    """What creating elements changes, with every object's union-find: the
+    engine builds one at its first read, the oracle seeds them all."""
+    uf = st._uf if isinstance(st, engine._Chase) else st.uf.__getitem__
     return (st.fresh_counter, st.created,
             {ob: list(names) for ob, names in st.round_added.items()},
-            {ob: dict(uf.birth) for ob, uf in st.uf.items()})
+            {ob: dict(uf(ob).birth) for ob in st.sk.objects})
 
 
 TWINS = pytest.mark.parametrize(
