@@ -10,10 +10,10 @@ saturation).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cache
-from itertools import filterfalse, islice
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from itertools import filterfalse, islice, takewhile
+from typing import Callable, Iterable, Sequence
 
 from .finset import (
     FinFunction,
@@ -94,14 +94,27 @@ class Rule:
     generator: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Match:
-    """One occurrence of a rule hypothesis inside a specification."""
+    """One occurrence of a rule hypothesis inside a specification: by the
+    Yoneda lemma, an element of the rule's apex object.  ``morphism``, its
+    classifying morphism, is built on first read and then kept; equality
+    reads it, so it does not depend on whether it was read before."""
 
     rule_id: str
     element: str
     satisfied: bool
-    morphism: RealMorphism
+    rule: Rule = field(repr=False)
+    spec: Realization = field(repr=False)
+
+    @cached_property
+    def morphism(self) -> RealMorphism:
+        return _classify(self.rule, self.spec, [self.element])[0]
+
+    def __eq__(self, other):
+        return isinstance(other, Match) and (
+            self.rule_id, self.element, self.satisfied, self.morphism) == (
+            other.rule_id, other.element, other.satisfied, other.morphism)
 
 
 @dataclass(frozen=True)
@@ -656,6 +669,13 @@ def _state_of(spec: Realization) -> _Chase:
     return st
 
 
+def _fire(st: _Chase, rule: Rule, xs: list[str]) -> None:
+    """Fire ``rule`` at the apex elements ``xs``: a fresh witness for each,
+    sent onto it by the rule's section arrow."""
+    fresh = st.fresh_many(rule.fresh, len(xs))
+    st.write_many(rule.h_arrow, dict(zip(fresh, xs)))
+
+
 def saturate(spec: Realization, rules: list[Rule],
              cfg: ChaseConfig | None = None) -> ChaseResult:
     """Chase ``spec`` to its free theory under ``rules``.
@@ -685,8 +705,7 @@ def saturate(spec: Realization, rules: list[Rule],
         if not fired or rounds >= cfg.max_rounds:
             break
         for rule, xs in matches:
-            st.write_many(rule.h_arrow, dict(zip(
-                st.fresh_many(rule.fresh, len(xs)), xs)))
+            _fire(st, rule, xs)
         rounds += 1
         st.repair(full=rounds < cfg.max_rounds)
         trace.append(TraceRound(rounds, fired, *st.take_round()))
@@ -723,58 +742,42 @@ def _satisfied(rule: Rule, spec: Realization) -> set[str]:
     return set(spec.action[rule.h_arrow].mapping.values())
 
 
-def _retarget(components: dict, tgt: Realization) -> dict[str, FinFunction]:
-    """``components`` moved into ``tgt``, whose carriers hold their values."""
-    return {ob: fn if fn.cod is tgt.carrier[ob] else
-            FinFunction(fn.dom, tgt.carrier[ob], fn.mapping)
-            for ob, fn in components.items()}
+def _classify(rule: Rule, spec: Realization,
+              xs: Sequence[str]) -> list[RealMorphism]:
+    """The classifying morphisms of the matches of ``rule`` at ``xs``, by
+    one extension run; raises at the first match that has none."""
+    seeds = ({rule.apex: {rule.generator: x}} for x in xs)
+    out = list(takewhile(lambda phi: phi is not None,
+                         _extensions(rule.hypothesis, spec, seeds)))
+    if len(out) < len(xs):
+        raise RuntimeError(f"match {xs[len(out)]} of rule {rule.id} has no "
+                           "classifying morphism; is the specification "
+                           "cone-valid?")
+    return out
 
 
 def match_rule(rule: Rule, spec: Realization) -> list[Match]:
-    """List all matches of ``rule`` in ``spec``, in carrier order.
-
-    A match is satisfied when its element already lies in the image of the
-    section witness arrow, i.e. the rule has already been applied there.
-
-    Matches are kept on ``spec``, outside its fields; a step whose chase
-    merged nothing hands them on to its result (:func:`apply_rule`), where
-    each old match, fixed by its generator's image, is moved to the new
-    carriers and only new apex elements are extended.
-    """
-    image, elements = _satisfied(rule, spec), spec.carrier[rule.apex].elements
-    kept = spec.__dict__.setdefault("_matches", {})
-    old, comps = kept.get(rule.id, (None, ()))
-    comps = [_retarget(c, spec) for c in comps if old is rule]
-    new = elements[len(comps):]
-    for x, phi in zip(new, _extensions(
-            rule.hypothesis, spec,
-            ({rule.apex: {rule.generator: x}} for x in new))):
-        if phi is None:
-            raise RuntimeError(
-                f"match {x} of rule {rule.id} has no classifying morphism; "
-                "is the specification cone-valid?")
-        comps.append(phi.components)
-    kept[rule.id] = rule, comps
-    return [Match(rule.id, x, x in image,
-                  RealMorphism(rule.hypothesis, spec, c))
-            for x, c in zip(elements, comps)]
+    """List all matches of ``rule`` in ``spec``: one per element of the
+    rule's apex object, in carrier order, with no extension run.  A match
+    is satisfied when the rule's section witness already maps onto it."""
+    image = _satisfied(rule, spec)
+    return [Match(rule.id, x, x in image, rule, spec)
+            for x in spec.carrier[rule.apex].elements]
 
 
 def _glue_state(left: Realization, right: Realization,
                 left_leg: dict[str, FinFunction],
                 right_leg: dict[str, FinFunction]) -> tuple[
                     _Chase, dict[str, dict[str, str]]]:
-    """Push ``left`` out along a span onto ``right`` and repair.
+    """Push ``left`` out along the span of componentwise legs
+    ``left_leg``, ``right_leg`` onto ``right``, and repair; returns the
+    state and the names of ``left``'s elements in it.
 
-    ``left_leg`` and ``right_leg`` are the componentwise legs of the span
-    (same domain, into ``left`` and ``right``).  The chase starts from
-    ``right`` as it is, so its names and carrier order survive; each left
-    element in the image of ``left_leg`` is identified with its partners
-    in ``right``, and every other one joins under its own name, primed
-    until the name is free.  Returns the repaired state and the names of
-    ``left``'s elements in it.  Every object and arrow glues the same way;
-    one that both sides share, with identity legs, adds and writes nothing,
-    so it keeps stamp 0 and ``right``'s own carrier and action.
+    The chase starts from ``right`` as it is, so its names and order
+    survive; each left element in the image of ``left_leg`` is identified
+    with its partners, and every other joins under its own name, primed
+    until free.  An object or arrow both sides share, with identity legs,
+    adds and writes nothing, and keeps ``right``'s carrier and action.
     """
     st = _state_of(right)
     names: dict[str, dict[str, str]] = {}
@@ -800,20 +803,20 @@ def _glue_state(left: Realization, right: Realization,
 
 
 def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
-    """Fire one rule match by gluing, then repairing; returns the step.
-
-    The result specification is the middle object of the returned fraction;
-    ``h`` is the embedding of ``spec`` into it and ``c`` the identity.
-    """
+    """Fire one rule match as :func:`saturate` does, then repair; returns
+    the step, whose middle object is the result, ``h`` the embedding of
+    ``spec`` and ``c`` the identity.  A spec not marked repaired must first
+    be cone-valid: every match there extends, in one extension run."""
+    if not spec._repaired:
+        _classify(rule, spec, spec.carrier[rule.apex].elements)
     if match.element in _satisfied(rule, spec):
         raise ValueError(
             f"redundant step: match {match.element} of rule {rule.id} is "
             "already satisfied")
-    st, _ = _glue_state(rule.glue, spec, rule.hyp_to_glue.components,
-                        match.morphism.components)
+    st = _state_of(spec)
+    _fire(st, rule, [match.element])
+    st.repair(full=True)
     result = st.realization()
-    if not st.round_identified and "_matches" in spec.__dict__:
-        object.__setattr__(result, "_matches", dict(spec._matches))
     return Fraction(spec, result, result, st.leg(spec, result),
                     identity_morphism(result), "by-construction")
 
@@ -826,18 +829,19 @@ def is_theory(spec: Realization, rules: list[Rule]) -> bool:
 
 def _induced_map(a: ChaseResult, b: ChaseResult,
                  into_b) -> tuple[RealMorphism | None, bool]:
-    """Extend ``a.embedding(x) -> b.embedding(into_b(ob, x))``, for x in
-    ``a``'s input, to ``a.result -> b.result``; returns the extension (None
-    when it conflicts or is partial) and whether it is a bijection."""
-    src = a.embedding.src
-    seed: dict[str, dict[str, str]] = {}
-    for ob in src.over.objects:
-        seed[ob] = {}
-        for x in src.carrier[ob].elements:
-            lhs = a.embedding(ob, x)
-            rhs = b.embedding(ob, into_b(ob, x))
-            if seed[ob].setdefault(lhs, rhs) != rhs:
-                return None, False
+    """Extend ``a.embedding(x) -> b.embedding(into_b[ob][x])``, for x in
+    ``a``'s input (``into_b`` None: x itself), to ``a.result -> b.result``;
+    returns the extension (None when it conflicts or is partial) and
+    whether it is a bijection."""
+    src, seed = a.embedding.src, {}
+    fa, fb = _maps(a.embedding), _maps(b.embedding)
+    for ob, d in src.carrier.items():
+        lhs = list(map(fa[ob].__getitem__, d))
+        rhs = list(map(fb[ob].__getitem__, d if into_b is None else
+                       map(into_b[ob].__getitem__, d)))
+        seed[ob] = own = dict(zip(lhs, rhs))
+        if len(own) < len(lhs) and list(map(own.__getitem__, lhs)) != rhs:
+            return None, False
     phi = extend_morphism(a.result, b.result, seed)
     return phi, phi is not None and all(
         is_bijection(phi.components[ob]) for ob in src.over.objects)
@@ -851,7 +855,7 @@ def induced_isomorphism(a: ChaseResult, b: ChaseResult) -> RealMorphism | None:
     bijection, else None.  This is how large saturations are compared,
     since brute-force isomorphism search does not scale past toy carriers.
     """
-    phi, bijective = _induced_map(a, b, lambda ob, x: x)
+    phi, bijective = _induced_map(a, b, None)
     return phi if bijective else None
 
 
@@ -871,7 +875,7 @@ def check_fraction(frac: Fraction, rules: list[Rule],
     sat_mid = saturate(frac.mid, rules, cfg)
     if sat_src.status != "fixpoint" or sat_mid.status != "fixpoint":
         raise RuntimeError("fraction check inconclusive: saturation capped")
-    induced, bijective = _induced_map(sat_src, sat_mid, frac.h)
+    induced, bijective = _induced_map(sat_src, sat_mid, _maps(frac.h))
     if induced is None:
         raise RuntimeError(
             "fraction check failed: no induced map between the saturations")
@@ -917,7 +921,10 @@ def compose_fractions(f1: Fraction, f2: Fraction,
         raise ValueError("fractions do not meet end to end")
     if _glues_nothing(f1, f2):
         mid, c = f2.mid, f2.c
-        h = RealMorphism(f1.src, mid, _retarget(f1.h.components, mid))
+        h = RealMorphism(f1.src, mid, {
+            ob: fn if fn.cod is mid.carrier[ob] else
+            FinFunction(fn.dom, mid.carrier[ob], fn.mapping)
+            for ob, fn in f1.h.components.items()})
     else:
         st, second_inj = _glue_state(f2.mid, f1.mid, f2.h.components,
                                      f1.c.components)
@@ -956,17 +963,10 @@ def trace_lines(res: ChaseResult) -> list[str]:
 
 def trace_doc(res: ChaseResult) -> dict:
     """Render a chase trace as a JSON-ready document."""
-    return {
-        "status": res.status,
-        "rounds": [
-            {
-                "round": r.round,
-                "fired": [{"rule": rid, "match": elem}
-                          for rid, elem in r.fired],
-                "added": {ob: list(r.added[ob]) for ob in sorted(r.added)},
-                "identified": [{"object": ob, "kept": kept, "dropped": drop}
-                               for ob, kept, drop in r.identified],
-            }
-            for r in res.trace.rounds
-        ],
-    }
+    return {"status": res.status, "rounds": [{
+        "round": r.round,
+        "fired": [{"rule": rid, "match": elem} for rid, elem in r.fired],
+        "added": {ob: list(r.added[ob]) for ob in sorted(r.added)},
+        "identified": [{"object": ob, "kept": kept, "dropped": drop}
+                       for ob, kept, drop in r.identified],
+    } for r in res.trace.rounds]}

@@ -68,11 +68,16 @@ def test_chains_match_oracle():
 
 
 def reference_matches(rule, spec):
+    """One ``Match`` per apex element, its morphism set to the reference
+    extension before ``match_rule``'s own could be built."""
     image = set(spec.action[rule.h_arrow].mapping.values())
-    return [Match(rule.id, x, x in image,
-                  extend_morphism(rule.hypothesis, spec,
-                                  {rule.apex: {rule.generator: x}}))
-            for x in spec.carrier[rule.apex].elements]
+    out = []
+    for x in spec.carrier[rule.apex].elements:
+        m = Match(rule.id, x, x in image, rule, spec)
+        object.__setattr__(m, "morphism", extend_morphism(
+            rule.hypothesis, spec, {rule.apex: {rule.generator: x}}))
+        out.append(m)
+    return out
 
 
 def test_match_rule_equals_one_extension_per_element():

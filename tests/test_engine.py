@@ -409,18 +409,20 @@ def renamed(spec, names):
                for aid, fn in spec.action.items()})
 
 
-def test_apply_rule_primes_names_that_clash_with_the_glue():
-    spec = renamed(mp_basic(), {"tp": "Theo#1", "tipq": "Theo#5",
+def test_apply_rule_fresh_names_skip_clashes():
+    # the step names H_MP_part_c_MP#0, then tries C_MP#1 and Theo#3, which
+    # the spec already holds, and takes the next free counter values
+    spec = renamed(mp_basic(), {"tp": "Theo#1", "tipq": "Theo#3",
                                 "p": "For#3", "q": "For#12",
-                                "d_tp": "C_MP#8"})
+                                "d_tp": "C_MP#1"})
     frac = apply_rule(spec, MP_RULE, match_rule(MP_RULE, spec)[0])
     assert {ob: frac.tgt.carrier[ob].elements for ob in SP.objects} == {
         "For": ("For#3", "For#12", "ipq"),
-        "Theo": ("Theo#1", "Theo#5", "Theo#1'"),
+        "Theo": ("Theo#1", "Theo#3", "Theo#4"),
         "H_IM": tuple(f"{a}_{b}" for a in FORMS for b in FORMS),
         "C_IM": ("c_p", "c_q", "c_ipq"),
         "H_MP": ("m0",),
-        "C_MP": ("C_MP#8", "d_tipq", "C_MP#0"),
+        "C_MP": ("C_MP#1", "d_tipq", "C_MP#2"),
         "H_IM_part_c_IM": ("w0",),
         "H_MP_part_c_MP": ("H_MP_part_c_MP#0",),
     }
@@ -445,18 +447,36 @@ def test_corpus_proof_composite_carriers():
     proof = compose_fractions(*fracs)
     forms = ("p", "q", "ipq")
     assert {ob: proof.mid.carrier[ob].elements for ob in spec.over.objects} == {
-        "C_IM": ("c_p", "c_q", "c_ipq", "C_IM#0"),
-        "C_MP": ("d_tp", "d_tipq", "C_MP#0"),
-        "For": ("p", "q", "ipq", "For#1"),
-        "H_IM": tuple(f"{a}_{b}" for a in forms for b in forms) + (
-            "H_IM#7", "H_IM#8", "H_IM#10",
-            "H_IM#0", "H_IM#1", "H_IM#2", "H_IM#3"),
+        "C_IM": ("c_p", "c_q", "c_ipq", "C_IM#1"),
+        "C_MP": ("d_tp", "d_tipq", "C_MP#1"),
+        "For": ("p", "q", "ipq", "For#2"),
+        "H_IM": tuple(f"{a}_{b}" for a in forms for b in forms) + tuple(
+            f"H_IM#{i}" for i in range(3, 10)),
         "H_IM_part_c_IM": ("w0", "H_IM_part_c_IM#0"),
         "H_MP": ("m0",),
         "H_MP_part_c_MP": ("H_MP_part_c_MP#0",),
-        "Theo": ("tp", "tipq", "Theo#1"),
+        "Theo": ("tp", "tipq", "Theo#2"),
     }
     assert proof.mid == current
+
+
+def test_apply_rule_adds_what_saturate_adds_in_round_one():
+    corpus = resources.files("limsketch") / "corpus" / "mp.sk"
+    decls = {d.name: d for d in dsl.parse_path(corpus)}
+    spec = decls["mp_basic"].realization
+    rule = next(r for r in rules_of(as_localiser(decls["mp_sigma"].morphism))
+                if r.id == "c_MP")
+    frac = apply_rule(spec, rule, next(m for m in match_rule(rule, spec)
+                                       if m.element == "m0"))
+    added = {ob: tuple(x for x in frac.tgt.carrier[ob]
+                       if x not in spec.carrier[ob])
+             for ob in spec.over.objects}
+    res = saturate(spec, [rule], ChaseConfig(max_rounds=1))
+    assert res.trace.rounds[1].fired == (("c_MP", "m0"),)
+    assert {ob: xs for ob, xs in added.items() if xs} == \
+        res.trace.rounds[1].added == {"C_MP": ("C_MP#1",),
+                                      "H_MP_part_c_MP": ("H_MP_part_c_MP#0",),
+                                      "Theo": ("Theo#2",)}
 
 
 def test_compose_primes_a_name_freed_by_a_non_injective_leg():

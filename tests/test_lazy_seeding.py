@@ -11,7 +11,7 @@ corpus ``mp_basic``, the objects no MP step changes (``For``, ``H_IM``,
 runs once per sketch and ``plan_join`` once per cone and seed set.
 
 Inputs: every realization handed to ``saturate``, ``apply_rule``, the glue
-behind ``apply_rule`` and ``compose_fractions``, and ``check_fraction``,
+behind ``compose_fractions``, and ``check_fraction``,
 and every one ``representable`` returns, reads the same afterwards, over
 chain proofs and random glues.
 """

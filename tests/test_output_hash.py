@@ -10,8 +10,8 @@ import hashlib
 
 import output_hash
 
-DIGEST = "b123e86c883557eba9b1f279b381b9f13be44244fc17572619fd778bf006d4e8"
-SIZE = 7226541
+DIGEST = "66ba7aeaa4424b5daadd5d0549306030e26328324ce60284d6e051d35c351fda"
+SIZE = 7225479
 
 
 def test_output_digest_is_unchanged():
