@@ -127,14 +127,59 @@ def _scan(text: str) -> tuple[list[str], list[str]]:
     return texts, [_KIND.get(t) or _KIND.get(t[:1], "stray") for t in texts]
 
 
+# A spec body is read into columns by ``_ENTRY`` (``_B``: a run of blanks), a
+# chunk of about ``_CHUNK`` characters cut at a newline at a time.  Past its
+# skip, a match always takes an entry, a stray or the end: no backtracking.
+_SPEC_HEAD = re.compile(rf"spec[ \t\r\n]+{_IDENT.pattern}[ \t\r\n]+over"
+                        rf"[ \t\r\n]+{_IDENT.pattern}[ \t\r\n]*{{")
+_B, _ID = "[ \t\r\n]*", f"({_IDENT.pattern})"
+_ENTRY = re.compile(
+    rf"{_B}(?://[^\n]*{_B})*(?:elem[ \t\r\n]{_B}{_ID}{_B}:{_B}{_ID}|"
+    rf"act[ \t\r\n]{_B}{_ID}{_B}\({_B}{_ID}{_B}\){_B}={_B}{_ID}|"
+    r"([^ \t\r\n]|\Z))")
+_CHUNK = 1 << 16
+
+
+def _scan_specs(text: str) -> tuple[list, list]:
+    """``_scan(text)``, but each spec body of entries, blanks and comments
+    that no chunk cut splits is one "body" token, whose text is its element
+    names, objects, arrows, arguments and values, one object per name.  A
+    brace outside a comment (no ``//`` before it on its line) opens or
+    closes a body.  The work is linear in the length of the text."""
+    texts, kinds, names, start, pos = [], [], {}, 0, 0
+    while head := _SPEC_HEAD.search(text, pos):
+        brace = end = head.end()
+        if "//" in text[text.rfind("\n", pos, brace) + 1 or pos:brace]:
+            pos = text.find("\n", brace) + 1 or len(text)  # a comment
+            continue
+        while (end := text.find("}", end)) >= 0 and \
+                "//" in text[text.rfind("\n", brace, end) + 1 or brace:end]:
+            end = text.find("\n", end) + 1 or len(text)  # a commented '}'
+        if end < 0:
+            break  # no later body is closed either
+        columns, at, pos = [[], [], [], [], []], brace, end
+        while at < end:
+            cut = text.find("\n", at + _CHUNK, end) + 1 or end
+            *parts, strays = zip(*_ENTRY.findall(text, at, cut))
+            if any(strays):
+                break  # left to the token scan
+            for column, part in zip(columns, parts):
+                column += filter(None, map(names.setdefault, part, part))
+            at = cut
+        else:  # read whole; the text before it ends in '{' and one end token
+            more, more_kinds = _scan(text[start:brace])
+            texts += [*more[:-1], columns]
+            kinds += [*more_kinds[:-1], "body"]
+            start = end
+    more, more_kinds = _scan(text[start:])
+    return (texts + more, kinds + more_kinds) if start else (more, more_kinds)
+
+
 # ---------------------------------------------------------------------------
 # builder: the load-time checks both formats share
 # ---------------------------------------------------------------------------
 
 _TOP_KEYWORDS = ("sketch", "spec", "morphism", "config")
-# The token kinds of ``elem ID : ID`` and ``act ID ( ID ) = ID``.
-_ELEM_SHAPE = ["ident", "ident", ":", "ident"]
-_ACT_SHAPE = ["ident", "ident", "(", "ident", ")", "=", "ident"]
 
 
 def _runs(keys, allowed) -> dict[str, slice]:
@@ -465,18 +510,24 @@ class _Recover(Exception):
     """Internal unwind signal after a recorded syntax error."""
 
 
+class _Reread(Exception):
+    """An issue in a text whose spec bodies were read as columns."""
+
+
 class _Parser:
     """The text syntax: tokens, error recovery and line:col positions.
 
     A token is an index into two parallel lists, its text and its kind.  That
     index is the location every declaration part carries to the
     :class:`_Builder`, which checks the parts; ``locate`` works out a line
-    and column only for the tokens an issue names.
+    and column only for the tokens an issue names.  ``scan`` makes the
+    lists; a "body" token of ``_scan_specs`` has no place in the text, so
+    its first issue sends ``parse`` back to the tokens of ``_scan``.
     """
 
-    def __init__(self, text: str, env: dict[str, Sketch] | None):
+    def __init__(self, text: str, env: dict[str, Sketch] | None, scan):
         self.text = text
-        self.texts, self.kinds = _scan(text)
+        self.texts, self.kinds = scan(text)
         self.offsets: list[int] | None = None
         self.line_starts: list[int] = []
         self.build = _Builder(env, self.locate)
@@ -488,6 +539,9 @@ class _Parser:
 
     def locate(self, at: int, message: str) -> ParseIssue:
         if self.offsets is None:
+            if "body" in self.kinds:  # positions are the whole text's only
+                self.build = None  # leave no cycle behind
+                raise _Reread
             self.offsets = [m.start(1) for m in _TOKEN.finditer(self.text)]
             self.line_starts = [0, *(m.end() for m in
                                      re.finditer("\n", self.text))]
@@ -707,8 +761,6 @@ class _Parser:
         name, name_at = self.named("spec name")
         self.expect_keyword("over")
         over, over_at = self.named("sketch name")
-        elems: list = [[], [], []]  # the columns _Builder.spec takes
-        acts: list = [[], [], [], []]
 
         def elem(at: int) -> None:
             el = self.ident("element name")
@@ -727,32 +779,16 @@ class _Parser:
             for column, part in zip(acts, (aid, x, y, at)):
                 column.append(part)
 
-        if not self.canonical_spec(elems, acts):
+        at = self.pos + 1
+        if self.kinds[self.pos] == "{" and self.kinds[at] == "body":
+            names, obs, *acts = self.texts[at]  # locations are never read:
+            elems = names, obs, [at] * len(names)  # an issue re-parses
+            acts.append([at] * len(acts[0]))
+            self.pos = at + 2  # past the body and its '}'
+        else:
+            elems, acts = [[], [], []], [[], [], [], []]
             self.entries("spec", {"elem": elem, "act": act})
         self.build.spec(name, name_at, over, over_at, elems, acts)
-
-    def canonical_spec(self, elems: list, acts: list) -> bool:
-        """Read a block of every ``elem`` entry, then every ``act`` entry,
-        each well formed, into the columns by slices; else return False."""
-        texts, kinds, at = self.texts, self.kinds, self.pos + 1
-        try:
-            end = kinds.index("}", at)
-        except ValueError:  # unterminated: the entry loop reports it
-            return False
-        shape = kinds[at:end]  # an elem entry has the one ":", an act the "("
-        k, j = shape.count(":"), shape.count("(")
-        mid = at + 4 * k
-        if kinds[at - 1] != "{" or mid + 7 * j != end or \
-                kinds[at:mid] != _ELEM_SHAPE * k or \
-                kinds[mid:end] != _ACT_SHAPE * j or \
-                texts[at:mid:4].count("elem") != k or \
-                texts[mid:end:7].count("act") != j:
-            return False
-        elems[:] = texts[at + 1:mid:4], texts[at + 3:mid:4], range(at, mid, 4)
-        acts[:] = texts[mid + 1:end:7], texts[mid + 3:end:7], \
-            texts[mid + 6:end:7], range(mid, end, 7)
-        self.pos = end + 1
-        return True
 
     # -- morphism
 
@@ -811,8 +847,12 @@ def parse(text: str, env: dict[str, Sketch] | None = None) -> list:
     Sketch names referenced by specs and morphisms resolve against the
     same text first, then ``env``, then the builtin sketches.
     """
-    p = _Parser(text, env)
-    p.parse()
+    try:
+        p = _Parser(text, env, _scan_specs)
+        p.parse()
+    except _Reread:  # word each issue at its place in the whole text
+        p = _Parser(text, env, _scan)
+        p.parse()
     build, p.build = p.build, None  # build.locate is bound to p: no cycle
     return build.finish()
 
