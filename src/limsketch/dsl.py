@@ -89,13 +89,6 @@ _TOKEN = re.compile(
 _KIND = {"": "eof", **dict.fromkeys(string.ascii_letters + "_", "ident"),
          **dict.fromkeys(string.digits, "num"),
          **{p: p for p in ("=>", "->", *"{}()[]:;=,.")}}
-# The split scan: once each one-character mark but "=" is padded with
-# blanks, ``str.split`` cuts a text where ``_TOKEN`` does, unless the text
-# holds a non-ASCII character or a blank that ``split`` knows and the
-# grammar does not, or one of its words is more than one token (as any word
-# holding the comment mark ``//`` is).
-_MARKS = "{}()[]:;,."
-_SPLIT_ONLY_BLANKS = "\v\f\x1c\x1d\x1e\x1f"
 
 
 def _identifiers(names) -> bool:
@@ -107,22 +100,7 @@ def _identifiers(names) -> bool:
 
 
 def _scan(text: str) -> tuple[list[str], list[str]]:
-    """The token texts and kinds of ``text``, as ``_TOKEN`` finds them up
-    to the end-of-input token; by the split scan where it applies."""
-    if text.isascii() and not any(c in text for c in _SPLIT_ONLY_BLANKS):
-        padded = text
-        for mark in _MARKS:
-            padded = padded.replace(mark, f" {mark} ")
-        texts = padded.split()
-        texts.append("")
-        # each distinct word's kind, None for a word of several tokens
-        words = set(texts).difference(_KIND)
-        kind_of = dict.fromkeys(words, "ident") if _identifiers(words) else {
-            w: "ident" if _IDENT.fullmatch(w) else "num" if w.isdigit()
-            else "stray" if len(w) == 1 else None for w in words}
-        kind_of.update(_KIND)
-        if None not in kind_of.values():
-            return texts, list(map(kind_of.__getitem__, texts))
+    """The token texts and kinds ``_TOKEN`` finds in ``text``."""
     texts = _TOKEN.findall(text)
     return texts, [_KIND.get(t) or _KIND.get(t[:1], "stray") for t in texts]
 

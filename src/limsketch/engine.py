@@ -805,8 +805,9 @@ def _glue_state(left: Realization, right: Realization,
 def apply_rule(spec: Realization, rule: Rule, match: Match) -> Fraction:
     """Fire one rule match as :func:`saturate` does, then repair; returns
     the step, whose middle object is the result, ``h`` the embedding of
-    ``spec`` and ``c`` the identity.  A spec not marked repaired must first
-    be cone-valid: every match there extends, in one extension run."""
+    ``spec`` and ``c`` the identity.  A spec not marked repaired is refused
+    when some match has no classifying morphism, found by one extension
+    run: such a spec is not cone-valid, but not each such spec is refused."""
     if not spec._repaired:
         _classify(rule, spec, spec.carrier[rule.apex].elements)
     if match.element in _satisfied(rule, spec):

@@ -21,6 +21,7 @@ from limsketch.sketch import (
     builtin_sketches,
 )
 
+from test_dsl_oracle import SCOPE, chain_text
 from test_engine import MP_RULE, RULES, mp_basic
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -131,69 +132,85 @@ def test_blanks_and_a_comment_may_end_the_file(text):
 
 # Pieces of random texts for the scanner check: identifier characters,
 # digits, the grammar's marks and its four blanks, then rarer ones: a
-# comment, the blanks only ``str.split`` knows, and strays, some not ASCII.
+# comment, blanks the grammar lacks, and strays, some not ASCII.
 SCAN_PIECES = [*"aZ_#'", *"09", *"{}()[]:;=,.", "=>", "->", *" \t\r\n"]
 RARE_SCAN_PIECES = ["//", "\v", "\f", "\x1c", "\x85", "\xa0", "é", "$", "/"]
-TOKEN = dsl._TOKEN
+IDENT_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+IDENT_REST = IDENT_START | set("0123456789#'")
 
 
-def regex_scan(text: str) -> tuple[list[str], list[str]]:
-    """The tokens ``_TOKEN`` finds, up to the end-of-input token, and the
-    kind of each."""
-    texts = TOKEN.findall(text)
-    texts = texts[:texts.index("") + 1]
-    return texts, [dsl._KIND.get(t) or dsl._KIND.get(t[:1], "stray")
-                   for t in texts]
-
-
-class CountedToken:
-    """``_TOKEN``, counting the texts that fall back to it."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def findall(self, text):
-        self.calls += 1
-        return TOKEN.findall(text)
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    counted = CountedToken()
-    monkeypatch.setattr(dsl, "_TOKEN", counted)
-    return counted
+def hand_scan(text: str) -> tuple[list[str], list[str]]:
+    """The grammar's tokens of ``text`` and their kinds, one character at a
+    time: blanks are space, tab, CR and LF, ``//`` comments out the rest of
+    its line, and a character no token starts with is a stray."""
+    texts, kinds, i, n = [], [], 0, len(text)
+    while True:
+        while i < n and (text[i] in " \t\r\n" or text.startswith("//", i)):
+            i = (text.find("\n", i) % (n + 1) if text[i] == "/" else i + 1)
+        if i == n:
+            return texts + [""], kinds + ["eof"]
+        j, c = i + 1, text[i]
+        if c in IDENT_START:
+            while j < n and text[j] in IDENT_REST:
+                j += 1
+            kind = "ident"
+        elif c in "0123456789":
+            while j < n and text[j] in "0123456789":
+                j += 1
+            kind = "num"
+        elif text[i:i + 2] in ("=>", "->"):
+            j, kind = i + 2, text[i:i + 2]
+        else:
+            kind = c if c in "{}()[]:;=,." else "stray"
+        texts.append(text[i:j])
+        kinds.append(kind)
+        i = j
 
 
 def scan(text: str) -> tuple[list[str], list[str]]:
+    """``dsl._scan(text)`` up to its first end-of-input token, where the
+    parser stops: ``findall`` may find the empty end twice."""
     texts, kinds = dsl._scan(text)
     end = texts.index("") + 1
     return texts[:end], kinds[:end]
 
 
-def test_split_scan_agrees_with_the_regex_scan(counted):
+def test_scan_agrees_with_a_hand_scan():
     rng = random.Random(15)
     for case in range(100_000):
         text = "".join(
             rng.choice(RARE_SCAN_PIECES if rng.random() < 0.04
                        else SCAN_PIECES)
             for _ in range(rng.randrange(9)))
-        assert scan(text) == regex_scan(text), f"case {case}: {text!r}"
-    # both scans ran often
-    assert 20_000 < counted.calls < 80_000
+        assert scan(text) == hand_scan(text), f"case {case}: {text!r}"
 
 
-@pytest.mark.parametrize("text, falls_back", [
-    *((text, True) for text in (
-        "a // note\nb", "a//b", "a\xa0b", "a\x85b", "é", "a\vb", "a\fb",
-        "a\x1cb", "a\x1fb", "12ab", "a->b", "x==y", "#a", "a$b", "-->")),
-    *((text, False) for text in (
-        "spec s over t {\r\n\tact p(x) = y elem x:A }",
-        "a#0 b' 12 = => -> $ /", "", " \t\r\n")),
+@pytest.mark.parametrize("text, tokens", [
+    ("a // note\nb", ["a", "b"]),
+    ("a//b", ["a"]),
+    ("a\xa0b", ["a", "\xa0", "b"]),
+    ("a\x85b", ["a", "\x85", "b"]),
+    ("é", ["é"]),
+    ("a\vb", ["a", "\v", "b"]),
+    ("a\fb", ["a", "\f", "b"]),
+    ("a\x1cb", ["a", "\x1c", "b"]),
+    ("a\x1fb", ["a", "\x1f", "b"]),
+    ("12ab", ["12", "ab"]),
+    ("a->b", ["a", "->", "b"]),
+    ("x==y", ["x", "=", "=", "y"]),
+    ("#a", ["#", "a"]),
+    ("a$b", ["a", "$", "b"]),
+    ("-->", ["-", "->"]),
+    ("spec s over t {\r\n\tact p(x) = y elem x:A }",
+     ["spec", "s", "over", "t", "{", "act", "p", "(", "x", ")", "=", "y",
+      "elem", "x", ":", "A", "}"]),
+    ("a#0 b' 12 = => -> $ /", ["a#0", "b'", "12", "=", "=>", "->", "$", "/"]),
+    ("", []),
+    (" \t\r\n", []),
 ])
-def test_split_scan_falls_back_exactly_when_it_must(counted, text,
-                                                    falls_back):
-    assert scan(text) == regex_scan(text)
-    assert counted.calls == falls_back
+def test_scan_cuts_a_text_into_the_grammars_tokens(text, tokens):
+    assert scan(text) == hand_scan(text)
+    assert scan(text)[0] == tokens + [""]
 
 
 def test_mono_by_suffix_and_by_keyword():
@@ -224,6 +241,17 @@ def test_parse_errors_carry_line_and_column():
     except dsl.ParseError as e:
         assert [(i.line, i.col) for i in e.issues] == [(3, 1)]
         assert "object name" in e.issues[0].message
+
+
+def test_an_issue_in_a_large_spec_body_is_placed_in_the_whole_text():
+    """An issue in a body read as columns sends ``parse`` back to scan the
+    whole 1.16 MB text token by token, which places it at its line."""
+    text = chain_text(60)
+    end = text.rindex("}")
+    with pytest.raises(dsl.ParseError) as e:
+        dsl.parse(text[:end] + "  elem zz : Nope\n" + text[end:], SCOPE)
+    assert [(i.line, i.col, i.message) for i in e.value.issues] == [
+        (44716, 3, "element 'zz' has undeclared object 'Nope'")]
 
 
 def test_independent_errors_all_reported_in_one_pass():

@@ -5,19 +5,30 @@ Reading a match's ``morphism`` runs one, equal to the reference extension
 at the generator, and keeps it.  ``apply_rule`` extends every match in one
 run only on a spec not marked repaired, where it refuses a spec that is not
 cone-valid before it refuses a redundant step; on a repaired spec, a model,
-it extends nothing.  No match is kept on any realization.
+it extends nothing.  No match is kept on any realization.  The refusal
+is narrower than cone validity: ``apply_rule`` refuses a spec where some
+match of the rule has no classifying morphism, and ``check_realization``
+reports a violation on every spec it refuses.
 """
+
+import dataclasses
+import random
 
 import pytest
 
 from limsketch import dsl, engine
 from limsketch.engine import (
+    ChaseConfig,
+    ChaseDiverged,
     apply_rule,
     compose_fractions,
     match_rule,
     rules_of,
+    saturate,
 )
+from limsketch.finset import FinFunction
 from limsketch.localizer import as_localiser
+from limsketch.realization import check_realization
 
 from test_chase_oracle import reference_matches
 from test_cli_failures import NOT_CONE_VALID
@@ -135,3 +146,50 @@ def test_a_spec_that_is_not_cone_valid_is_refused_at_a_match_that_extends():
     assert matches["p_q"].satisfied
     with pytest.raises(RuntimeError, match="cone-valid"):
         apply_rule(spec, rule, matches["p_q"])
+
+
+def mutant(seed):
+    """``chain(n, seed)`` for n in 2..4, raw or saturated 0..2 rounds, with
+    one or two action values reassigned at random; not marked repaired."""
+    rng = random.Random(seed)
+    spec = workloads.chain(ENV, rng.randint(2, 4), seed)
+    if rounds := rng.randint(0, 2):
+        spec = saturate(spec, RULES, ChaseConfig(max_rounds=rounds)).result
+    action = dict(spec.action)
+    for _ in range(rng.randint(1, 2)):
+        aid = rng.choice([a for a, fn in action.items() if fn.mapping])
+        fn = action[aid]
+        mapping = dict(fn.mapping)
+        mapping[rng.choice(list(mapping))] = rng.choice(fn.cod.elements)
+        action[aid] = FinFunction(fn.dom, fn.cod, mapping)
+    return dataclasses.replace(spec, action=action)
+
+
+def refuses(spec, rule) -> bool:
+    """Whether ``apply_rule`` refuses ``spec`` as not cone-valid.  It is
+    asked at a satisfied match where there is one, which it refuses as
+    redundant when it does not refuse the spec, with no chase."""
+    matches = match_rule(rule, spec)
+    try:
+        apply_rule(spec, rule, next((m for m in matches if m.satisfied),
+                                    matches[0]))
+    except ChaseDiverged:  # a chase from a spec that is not a model
+        pass
+    except RuntimeError as e:
+        assert "cone-valid" in str(e)
+        return True
+    except ValueError as e:
+        assert "redundant step" in str(e)
+    return False
+
+
+def test_every_spec_apply_refuses_has_a_cone_violation():
+    refused = 0
+    for seed in range(100):
+        spec = mutant(seed)
+        for rule in RULES:
+            if refuses(spec, rule):
+                refused += 1
+                assert not check_realization(spec).ok, (seed, rule.id)
+    # the refusal is seen often, so the check reads something
+    assert refused > 20

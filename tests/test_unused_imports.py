@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and none
+defines a module-level name that nothing reads.
 
 ``__init__`` is left out: its imports are the package's exports.
 """
@@ -7,6 +8,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from test_surface import traced_targets
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "limsketch"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -34,6 +36,44 @@ def test_the_check_finds_unused_imports():
     assert unused_imports(source) == ["It", "regex"]
 
 
+def defined_names(source: str) -> list[str]:
+    """The names ``source`` binds at module level by a ``def``, a ``class``
+    or an assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
+def read_names(sources) -> set[str]:
+    """The names ``sources`` read: loaded as a name, taken as an attribute,
+    or imported from a module."""
+    read: set[str] = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return read
+
+
+def test_the_check_finds_unread_names():
+    source = ("import re\n_A, _B = 1, 2\n_C: int = _A\n"
+              "def f():\n    return _C\nclass K:\n    pass\n")
+    assert defined_names(source) == ["_A", "_B", "_C", "f", "K"]
+    read = read_names([source, "from .m import K\nx.f()\n"])
+    assert set(defined_names(source)) - read == {"_B"}
+
+
 def test_modules_found():
     assert "engine.py" in MODULES and "finset.py" in MODULES
 
@@ -41,3 +81,16 @@ def test_modules_found():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     assert unused_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_every_module_level_name_is_read():
+    """Each module-level name of each module is read somewhere in the
+    package (``__init__``'s imports are its exports), or is a target the
+    benchmark tracer wraps."""
+    read = read_names(p.read_text(encoding="utf-8") for p in SRC.glob("*.py"))
+    traced = {(module.rsplit(".", 1)[-1] + ".py", attr)
+              for module, attr in traced_targets()}
+    unread = [(name, n) for name in MODULES
+              for n in defined_names((SRC / name).read_text(encoding="utf-8"))
+              if n not in read and (name, n) not in traced]
+    assert unread == []
